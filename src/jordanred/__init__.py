@@ -11,7 +11,7 @@ from .gaussrat import GaussRational, gr
 from .jordan import (JordanMatrix, SeveriClass, cayley_hamilton_residual,
                      char_poly, classify_severi, det, det3, discriminant,
                      inner, is_rank_one, jordan_mul, rank_one_lift, trace_forms)
-from .liealg import So3AOperator, act, so3a_basis, stabilizer_dims, triality_basis
+from .liealg import So3AOperator, so3a_basis, stabilizer_dims, triality_basis
 from .reductions import (OrbitClass, PierceTriple, ReductionLine,
                          classify_orbit, membership, pierce_from_roots,
                          project_so3a, representative, severi_points_on_line,

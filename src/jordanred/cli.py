@@ -17,20 +17,20 @@ from typing import List, Optional
 
 from . import bott as bott_mod
 from . import chow
-from .algebra import ALL_TAGS, AlgElement, AlgebraTag, qbilin, tag_by_name
-from .gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .algebra import ALL_TAGS, AlgElement, qbilin, tag_by_name
+from .gaussrat import GR_ONE, GR_ZERO, GaussRational
 from .jordan import (JordanMatrix, cayley_hamilton_residual,
                      classify_severi, det, det3, discriminant, inner,
                      is_rank_one, jordan_mul, jordan_mul_full, rank_one_lift,
                      sigma1, sigma2, trace_forms)
-from .liealg import (so3a_basis, so3a_rank, stabilizer_dims,
+from .liealg import (bracket_in_span, so3a_basis, so3a_rank, stabilizer_dims,
                      triality_basis, triality_identity_holds)
 from .linalg import rank
 from .reductions import (OrbitClass, ReductionLine, available_orbits,
                          classify_orbit, eval_cubic_ab, eval_cubic_theta,
                          in_ker_pi, ker_pi_dim, membership, omega_plucker,
                          pierce_from_roots, representative,
-                         severi_points_on_line, tangent_dim)
+                         severi_points_on_line, tangent_dim, z_representative)
 from .sampling import (DEFAULT_SEED, make_rng, random_element, random_jordan,
                        random_member_line, random_pierce_triple,
                        random_projected_rank_one, random_square_zero,
@@ -186,11 +186,6 @@ def build_verify_algebra(algebra: Optional[str], seed: int) -> Report:
 # -- verify-jordan ---------------------------------------------------------------
 
 
-def _z_rep(tag: AlgebraTag) -> JordanMatrix:
-    z = AlgElement.zero(tag)
-    return JordanMatrix(tag, (1, -1, 0), (z, z, AlgElement.scalar(tag, GR_I)))
-
-
 def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
     rep = Report("verify-jordan", {"algebra": algebra or "all", "seed": seed,
                                    "samples": SAMPLES})
@@ -223,7 +218,7 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
         rep.add("%s: det(I)" % tag, "1", det(ident), "trivial")
         rep.add("%s: det diag(2,3,5)" % tag, "30",
                 det(JordanMatrix.diag(tag, 2, 3, 5)), "trivial")
-        Z = _z_rep(tag)
+        Z = z_representative(tag)
         rep.add("%s: det of the square-zero representative" % tag, "0", det(Z),
                 "reference")
         X = random_jordan(tag, rng)
@@ -333,10 +328,9 @@ def build_lie_dims(seed: int) -> Report:
         _, _, perp2 = stabilizer_dims(JordanMatrix.diag(tag, 1, 1, -2))
         rep.add("%s: perp dimension on the projected rank-one locus" % tag,
                 tag.dim + 2, perp2, "reference")
-        _, _, perp3 = stabilizer_dims(_z_rep(tag))
+        _, _, perp3 = stabilizer_dims(z_representative(tag))
         rep.add("%s: perp dimension on the square-zero locus" % tag,
                 tag.dim + 2, perp3, "reference")
-        from .liealg import bracket_in_span
         n = len(ops)
         ok = True
         for _ in range(SAMPLES["bracket_samples"]):
@@ -350,9 +344,6 @@ def build_lie_dims(seed: int) -> Report:
 
 # -- orbits ------------------------------------------------------------------------
 
-
-ORBIT_NAMES = {OrbitClass.OPEN0: "open", OrbitClass.CODIM1: "codim1",
-               OrbitClass.CODIM2: "codim2", OrbitClass.CODIM4: "codim4"}
 
 SEVERI_TABLE = {OrbitClass.OPEN0: (3, 0, False), OrbitClass.CODIM1: (1, 1, False),
                 OrbitClass.CODIM2: (0, 1, False), OrbitClass.CODIM4: (0, 0, True)}
@@ -375,13 +366,13 @@ def build_orbits(algebra: Optional[str], line_file: Optional[str], seed: int) ->
             pts = severi_points_on_line(line)
             td = tangent_dim(line)
             rep.result.update({
-                "orbit": ORBIT_NAMES[orbit],
+                "orbit": orbit.value,
                 "tangent_dim": td,
                 "rank_one_points": {"general": pts.count_general(),
                                     "special": pts.count_special(),
                                     "whole_line": pts.whole_line},
             })
-            rep.add("orbit", ORBIT_NAMES[orbit], ORBIT_NAMES[orbit], "reference")
+            rep.add("orbit", orbit.value, orbit.value, "reference")
             rep.add("tangent dimension", 3 * line.tag.dim, td, "reference")
             rep.add("rank-one points (general, special, whole_line)",
                     list(SEVERI_TABLE[orbit][:2]) + [SEVERI_TABLE[orbit][2]],
@@ -395,15 +386,15 @@ def build_orbits(algebra: Optional[str], line_file: Optional[str], seed: int) ->
         for orbit in available_orbits(tag):
             line = representative(tag, orbit)
             rep.add_bool("%s %s: representative is a member"
-                         % (tag, ORBIT_NAMES[orbit]), membership(line), "reference")
-            rep.add("%s %s: classification" % (tag, ORBIT_NAMES[orbit]),
-                    ORBIT_NAMES[orbit], ORBIT_NAMES[classify_orbit(line)], "reference")
+                         % (tag, orbit.value), membership(line), "reference")
+            rep.add("%s %s: classification" % (tag, orbit.value),
+                    orbit.value, classify_orbit(line).value, "reference")
             pts = severi_points_on_line(line)
-            rep.add("%s %s: rank-one point counts" % (tag, ORBIT_NAMES[orbit]),
+            rep.add("%s %s: rank-one point counts" % (tag, orbit.value),
                     list(SEVERI_TABLE[orbit][:2]) + [SEVERI_TABLE[orbit][2]],
                     [pts.count_general(), pts.count_special(), pts.whole_line],
                     "reference")
-            rep.add("%s %s: tangent dimension" % (tag, ORBIT_NAMES[orbit]),
+            rep.add("%s %s: tangent dimension" % (tag, orbit.value),
                     3 * tag.dim, tangent_dim(line), "reference")
         ok = True
         for _ in range(SAMPLES["membership_basis_invariance"]):
@@ -429,7 +420,7 @@ def build_linear_spaces(algebra: Optional[str], seed: int) -> Report:
         counts = []
         for orbit in available_orbits(tag):
             pts = severi_points_on_line(representative(tag, orbit))
-            counts.append([ORBIT_NAMES[orbit], pts.count_general(),
+            counts.append([orbit.value, pts.count_general(),
                            pts.count_special(), pts.whole_line])
         expected = [["open", 3, 0, False], ["codim1", 1, 1, False],
                     ["codim2", 0, 1, False]]
@@ -497,7 +488,7 @@ BOTT_REFERENCE = {"I3": 243, "I2": 261, "I1": -171, "I0": 57,
                   "euler_cy": -2136, "b3": 2140}
 
 
-def build_bott(weights: str, seed: int = DEFAULT_SEED) -> Report:
+def build_bott(weights: str) -> Report:
     w = _parse_weights(weights)
     rep = Report("bott", {"weights": [w.w0, w.w1, w.w2]})
     pts = bott_mod.enumerate_fixed_points()
@@ -593,7 +584,7 @@ def build_properties(seed: int) -> Report:
         rep.add_bool("%s: random member line passes membership" % tag,
                      membership(line), "derived")
         rep.add("%s: random member line is in the open orbit" % tag, "open",
-                ORBIT_NAMES[classify_orbit(line)], "derived")
+                classify_orbit(line).value, "derived")
     return rep
 
 
@@ -606,7 +597,7 @@ def build_all(seed: int) -> List[Report]:
             build_linear_spaces(None, seed), build_degree()]
     for a in (1, 2, 4, 8):
         reps.append(build_betti(a))
-    reps.append(build_bott("0,1,3", seed))
+    reps.append(build_bott("0,1,3"))
     reps.append(build_properties(seed))
     return reps
 
@@ -666,7 +657,7 @@ def main(argv=None) -> int:
         elif args.command == "betti":
             reports = [build_betti(args.a)]
         elif args.command == "bott":
-            reports = [build_bott(args.weights, args.seed)]
+            reports = [build_bott(args.weights)]
         elif args.command == "all":
             reports = build_all(args.seed)
         else:  # pragma: no cover

@@ -14,14 +14,13 @@ Basis of J0 (dimension 3a + 2):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
 from .gaussrat import GR_ONE, GR_ZERO, GaussRational
 from .jordan import JordanMatrix, inner
-from .linalg import invert, nullspace, rank, rank_int
+from .linalg import RowSpan, invert, nullspace, rank
 
 
 # -- the basis of J0 -----------------------------------------------------------
@@ -158,14 +157,12 @@ def triality_basis(tag: AlgebraTag):
                     if col3[r]:
                         blocks[r][2 * s + m] -= col3[r]
             rows.extend(blocks)
-    kernel = nullspace_int_rows(rows, 3 * s)
+    kernel = nullspace(rows, 3 * s)
     triples = []
     for vec in kernel:
         den = lcm(*(f.denominator for f in vec)) if vec else 1
         ints = [int(f * den) for f in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         mats = []
@@ -179,43 +176,6 @@ def triality_basis(tag: AlgebraTag):
             mats.append(tuple(tuple(r) for r in m))
         triples.append(tuple(mats))
     return tuple(triples)
-
-
-def nullspace_int_rows(rows, ncols):
-    """Nullspace of an integer matrix: Bareiss echelon, then exact kernel."""
-    echelon = _bareiss_echelon(rows)
-    frac_rows = [[Fraction(v) for v in r] for r in echelon]
-    return nullspace(frac_rows, ncols=ncols, one=Fraction(1))
-
-
-def _bareiss_echelon(rows):
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[c]
-            for j in range(c, ncols):
-                row[j] = (pv * row[j] - f * prow[j]) // prev
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in m[:r]]
 
 
 def triality_identity_holds(tag: AlgebraTag, triple) -> bool:
@@ -261,11 +221,9 @@ class So3AOperator:
         self.a1 = a1 if a1 is not None else z
         self.a2 = a2 if a2 is not None else z
         self.a3 = a3 if a3 is not None else z
-        self.matrix = tuple(
-            tuple(_as_int(v) for v in j0_coords(self.apply(b))) for b in _columns(tag)
-        )
-        # realized rows were built column-wise; transpose into row-major form
-        self.matrix = tuple(zip(*self.matrix))
+        # realized columns, transposed into row-major form
+        self.matrix = tuple(zip(*(
+            [_as_int(v) for v in j0_coords(self.apply(b))] for b in j0_basis(tag))))
 
     def apply(self, X: JordanMatrix) -> JordanMatrix:
         """The slot-wise derivation action, extended linearly.
@@ -324,17 +282,10 @@ class So3AOperator:
         return "So3AOperator(%s, %s)" % (self.tag, kind)
 
 
-def _columns(tag):
-    return j0_basis(tag)
-
-
 def _as_int(v: GaussRational) -> int:
-    assert v.im == 0 and v.re.denominator == 1, "realized operator not integral"
+    if v.im != 0 or v.re.denominator != 1:
+        raise ArithmeticError("realized operator not integral")
     return int(v.re)
-
-
-def act(op: So3AOperator, X: JordanMatrix) -> JordanMatrix:
-    return op.apply(X)
 
 
 @lru_cache(maxsize=None)
@@ -358,11 +309,9 @@ def so3a_matrices(tag: AlgebraTag):
     return [op.matrix for op in so3a_basis(tag)]
 
 
-@lru_cache(maxsize=None)
 def so3a_rank(tag: AlgebraTag) -> int:
     """Rank of the stacked realized operators (linear independence check)."""
-    flat = [sum((list(r) for r in op.matrix), []) for op in so3a_basis(tag)]
-    return rank_int(flat)
+    return operator_span(tag).dim
 
 
 # -- the invariant form B on so3(A) and dual bases -------------------------------
@@ -392,8 +341,7 @@ def bform_gram(tag: AlgebraTag):
 
 @lru_cache(maxsize=None)
 def bform_inverse(tag: AlgebraTag):
-    g = [[Fraction(v) for v in row] for row in bform_gram(tag)]
-    return tuple(tuple(r) for r in invert(g))
+    return tuple(tuple(r) for r in invert(bform_gram(tag)))
 
 
 class LieCombo:
@@ -449,11 +397,9 @@ def stabilizer_dims(X: JordanMatrix):
         raise ValueError("zero matrix has no stabilizer data")
     tag = X.tag
     vec = j0_coords(X)
-    cols = [op.apply_coords(vec) for op in so3a_basis(tag)]
-    # matrix with the images as columns
-    mat = [[col[i] for col in cols] for i in range(j0_dim(tag))]
-    r = rank(mat)
-    return len(cols) - r, r, j0_dim(tag) - r
+    images = [op.apply_coords(vec) for op in so3a_basis(tag)]
+    r = rank(images)
+    return len(images) - r, r, j0_dim(tag) - r
 
 
 # -- brackets ---------------------------------------------------------------------
@@ -481,66 +427,19 @@ def bracket_matrix(m1, m2):
     return out
 
 
-class OperatorSpan:
-    """Echelonized span of flattened realized operators, over Q."""
-
-    def __init__(self, tag: AlgebraTag):
-        self.rows = []  # (pivot, dict row) with unit pivot
-        for op in so3a_basis(tag):
-            self.add(_flatten_int(op.matrix))
-
-    def reduce(self, vec):
-        v = dict(vec)
-        for piv, row in self.rows:
-            f = v.get(piv)
-            if not f:
-                continue
-            for j, x in row.items():
-                nv = v.get(j, 0) - f * x
-                if nv:
-                    v[j] = nv
-                else:
-                    v.pop(j, None)
-        return v
-
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        if not v:
-            return False
-        piv = min(v)
-        pv = v[piv]
-        row = {j: Fraction(x, 1) / pv for j, x in v.items()}
-        self.rows.append((piv, row))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-def _flatten_int(mat):
-    out = {}
-    n = len(mat)
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if v:
-                out[i * n + j] = Fraction(v)
-    return out
+def _flatten(mat):
+    return [v for row in mat for v in row]
 
 
 @lru_cache(maxsize=None)
-def operator_span(tag: AlgebraTag) -> OperatorSpan:
-    return OperatorSpan(tag)
+def operator_span(tag: AlgebraTag) -> RowSpan:
+    """Span of the flattened realized so3(A) operators."""
+    return RowSpan(_flatten(m) for m in so3a_matrices(tag))
 
 
 def bracket_in_span(tag: AlgebraTag, i: int, j: int) -> bool:
     mats = so3a_matrices(tag)
-    br = bracket_matrix(mats[i], mats[j])
-    return operator_span(tag).contains(_flatten_int(br))
+    return operator_span(tag).contains(_flatten(bracket_matrix(mats[i], mats[j])))
 
 
 # -- the Der(A) + Im(A)^2 presentation, as an independent cross-check -------------

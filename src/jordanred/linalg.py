@@ -1,8 +1,10 @@
-"""Exact dense linear algebra for small matrices.
+"""Exact linear algebra for small matrices: one Gauss-Jordan kernel.
 
-The generic routines work over any exact field whose elements support
-+, -, *, / and == (Fraction and GaussRational both do).  Integer matrices
-get a fraction-free Bareiss rank for the larger kernels.
+Everything works over an exact field whose elements support +, -, *, / and
+truth testing (Fraction and GaussRational both do); int entries are promoted
+to Fraction.  `RowSpan` holds the reduced row echelon form of the vectors
+added so far, as sparse unit-pivot rows; `rref`, `rank`, `nullspace` and
+`invert` are views of it.
 """
 
 from __future__ import annotations
@@ -10,179 +12,119 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _is_zero(x) -> bool:
-    return not x
+def _field(x):
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def _clear(v, p, prow):
+    """Subtract v[p] * prow from the sparse vector v, over prow's nonzero columns."""
+    f = v[p]
+    for j, x in prow.items():
+        y = v.get(j)
+        y = -f * x if y is None else y - f * x
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+
+
+class RowSpan:
+    """Incrementally reduced row space, for exact rank and span-membership tests.
+
+    `rows` maps each pivot column to its row, a dict of the nonzero
+    (index, value) pairs; each row is 1 at its own pivot, 0 at every other
+    pivot and 0 left of its pivot, so together they are the reduced row
+    echelon form of the span.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, vec) -> dict:
+        """The sparse remainder of vec modulo the span."""
+        v = {j: _field(x) for j, x in enumerate(vec) if x}
+        for p in [p for p in v if p in self.rows]:
+            _clear(v, p, self.rows[p])
+        return v
+
+    def add(self, vec) -> bool:
+        """Add a vector; returns True if it enlarged the span."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        pv = v[p]
+        row = v if pv == 1 else {j: x / pv for j, x in v.items()}
+        for other in self.rows.values():
+            if p in other:
+                _clear(other, p, row)
+        self.rows[p] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 def rank(rows) -> int:
     """Rank of a matrix given as a list of rows over an exact field."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            if _is_zero(f):
-                continue
-            g = f / pv
-            row = m[i]
-            for j in range(c, ncols):
-                row[j] = row[j] - g * prow[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rank_int(rows) -> int:
-    """Bareiss fraction-free rank for integer matrices."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[c]
-            if f == 0 and prev == 1:
-                continue
-            for j in range(c, ncols):
-                row[j] = (pv * row[j] - f * prow[j]) // prev
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return RowSpan(rows).dim
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not _is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        prow = m[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i][c]
-            if _is_zero(f):
-                continue
-            row = m[i]
-            for j in range(c, ncols):
-                row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    rows = list(rows)
+    span = RowSpan(rows)
+    pivots = sorted(span.rows)
+    out = []
+    for p in pivots:
+        row = span.rows[p]
+        zero = row[p] - row[p]
+        out.append([row.get(j, zero) for j in range(len(rows[0]))])
+    return out, pivots
 
 
-def nullspace(rows, ncols=None, one=None):
+def nullspace(rows, ncols=None):
     """Basis of the right kernel of the matrix, as a list of vectors.
 
-    `one` is the field unit used to fill in the free coordinates; it is
-    inferred from the matrix when omitted.
+    The vectors are the canonical kernel basis read off the reduced row
+    echelon form: one per free column, 1 there and 0 at the other free
+    columns.
     """
-    m = [list(r) for r in rows]
-    if m:
-        ncols = len(m[0])
+    rows = list(rows)
+    if rows:
+        ncols = len(rows[0])
     if ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
-    if one is None:
-        if m:
-            x = m[0][0]
-            one = x - x + 1 if isinstance(x, (int, Fraction)) else (x - x) ** 0
-        else:
-            one = 1
-    if not m:
-        basis = []
-        for c in range(ncols):
-            v = [one - one] * ncols
-            v[c] = one
-            basis.append(v)
-        return basis
-    red, pivots = rref(m)
+    span = RowSpan(rows)
+    one = _field(rows[0][0]) ** 0 if rows else Fraction(1)
     zero = one - one
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in span.rows:
+            continue
         v = [zero] * ncols
         v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for p, row in span.rows.items():
+            if fc in row:
+                v[p] = -row[fc]
         basis.append(v)
     return basis
 
 
 def invert(rows):
-    """Inverse of a small square matrix over an exact field."""
+    """Inverse of a small square matrix over an exact field: rref of [A | I]."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    x = m[0][0]
-    one = x - x + 1 if isinstance(x, (int, Fraction)) else (x - x) ** 0
-    zero = one - one
-    aug = [m[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not _is_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        prow = aug[c]
-        for i in range(n):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if _is_zero(f):
-                continue
-            row = aug[i]
-            for j in range(c, 2 * n):
-                row[j] = row[j] - f * prow[j]
-    return [row[n:] for row in aug]
+    red, pivots = rref([list(r) + [int(i == j) for j in range(n)]
+                        for i, r in enumerate(rows)])
+    if pivots[n - 1] != n - 1:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def mat_mul(a, b):
@@ -199,75 +141,3 @@ def mat_mul(a, b):
             row.append(s)
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = None
-        for x, y in zip(row, v):
-            if x:
-                s = x * y if s is None else s + x * y
-        if s is None:
-            s = row[0] * v[0]  # a zero of the right type
-        out.append(s)
-    return out
-
-
-def mat_trace_of_product(a, b):
-    """trace(a @ b) without forming the product."""
-    s = a[0][0] * b[0][0]
-    first = True
-    n = len(a)
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            if ai[k]:
-                t = ai[k] * b[k][i]
-                if first:
-                    s = t
-                    first = False
-                else:
-                    s = s + t
-    if first:
-        s = a[0][0] * b[0][0]
-    return s
-
-
-class RowSpan:
-    """Incrementally reduced row space, for exact span-membership tests."""
-
-    def __init__(self, vectors=()):
-        self.rows = []  # list of (pivot_index, normalized row)
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, vec):
-        v = list(vec)
-        for piv, row in self.rows:
-            f = v[piv]
-            if _is_zero(f):
-                continue
-            for j in range(len(v)):
-                if not _is_zero(row[j]):
-                    v[j] = v[j] - f * row[j]
-        return v
-
-    def add(self, vec) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        v = self.reduce(vec)
-        for piv in range(len(v)):
-            if not _is_zero(v[piv]):
-                pv = v[piv]
-                v = [x / pv for x in v]
-                self.rows.append((piv, v))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        return all(_is_zero(x) for x in self.reduce(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

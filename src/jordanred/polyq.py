@@ -146,12 +146,6 @@ def squarefree_factors(f: PolyQi):
     return out
 
 
-def squarefree_part(f: PolyQi) -> PolyQi:
-    g = poly_gcd(f, f.derivative())
-    q, _ = f.monic().divmod(g)
-    return q.monic()
-
-
 # -- integer helpers ---------------------------------------------------------
 
 

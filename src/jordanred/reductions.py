@@ -19,8 +19,8 @@ from .gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
 from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_coords, j0_dim, j0_gram,
-                     nullspace_int_rows, so3a_matrices)
-from .linalg import rank, rank_int
+                     so3a_matrices)
+from .linalg import nullspace, rank
 from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
 
 
@@ -59,7 +59,12 @@ class ReductionLine:
 
     @classmethod
     def from_json(cls, obj) -> "ReductionLine":
-        return cls(JordanMatrix.from_json(obj["X"]), JordanMatrix.from_json(obj["Y"]))
+        """Parse {"X": matrix, "Y": matrix}; any malformed input raises ValueError."""
+        try:
+            X, Y = (JordanMatrix.from_json(obj[k]) for k in ("X", "Y"))
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError("malformed line: %s: %s" % (type(exc).__name__, exc)) from exc
+        return cls(X, Y)
 
 
 def _proportional(X: JordanMatrix, Y: JordanMatrix) -> bool:
@@ -81,44 +86,9 @@ def _proportional(X: JordanMatrix, Y: JordanMatrix) -> bool:
 # -- membership -----------------------------------------------------------------
 
 
-def _gram_apply(tag: AlgebraTag, vec):
-    g = j0_gram(tag)
-    out = []
-    for row in g:
-        s = GR_ZERO
-        for c, v in zip(row, vec):
-            if c:
-                s = s + v * c
-        out.append(s)
-    return out
-
-
 def membership_values(X: JordanMatrix, Y: JordanMatrix) -> List[GaussRational]:
     """The pairing trace(X o (u_k Y)) over the so3(A) basis."""
-    tag = X.tag
-    gx = _gram_apply(tag, j0_coords(X))
-    yv = j0_coords(Y)
-    vals = []
-    for m in so3a_matrices(tag):
-        my = [_dot_int_row(row, yv) for row in m]
-        vals.append(_dot(gx, my))
-    return vals
-
-
-def _dot_int_row(row, vec):
-    s = GR_ZERO
-    for c, v in zip(row, vec):
-        if c:
-            s = s + v * c
-    return s
-
-
-def _dot(u, v):
-    s = GR_ZERO
-    for a, b in zip(u, v):
-        if not a.is_zero() and not b.is_zero():
-            s = s + a * b
-    return s
+    return pi_pairings(X.tag, wedge_of(X, Y))
 
 
 def membership(line: ReductionLine) -> bool:
@@ -132,17 +102,7 @@ def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
     Computed through dual bases for the trace form B on the realized
     operators; the result vanishes exactly when span{X, Y} is a member.
     """
-    tag = X.tag
-    vals = membership_values(X, Y)
-    binv = bform_inverse(tag)
-    coeffs = []
-    for l in range(len(vals)):
-        s = GR_ZERO
-        for i, v in enumerate(vals):
-            if not v.is_zero() and binv[l][i]:
-                s = s + v * binv[l][i]
-        coeffs.append(s)
-    return LieCombo(tag, coeffs)
+    return pi_of_wedge(X.tag, wedge_of(X, Y))
 
 
 # -- the wedge square and the kernel of the projection ----------------------------
@@ -155,29 +115,63 @@ def wedge_pairs(tag: AlgebraTag):
 
 
 @lru_cache(maxsize=None)
-def pi_functional_matrix(tag: AlgebraTag):
-    """Integer rows F_k over wedge pairs: F_k[(r,s)] = (G M_k)[r][s]."""
+def pi_table(tag: AlgebraTag):
+    """The nonzero terms (w, r, s, c) of S_k = G M_k above the diagonal.
+
+    One tuple of terms per so3(A) basis operator M_k, with G the Gram matrix
+    of J0 and w the index of the wedge pair (r, s).  Each S_k is skew, since
+    derivations are orthogonal for the trace form, so x^T S_k y is the sum of
+    c (x_r y_s - x_s y_r) over the terms: a linear form on the wedge square.
+    """
     g = j0_gram(tag)
     n = j0_dim(tag)
-    pairs = wedge_pairs(tag)
-    rows = []
+    table = []
     for m in so3a_matrices(tag):
-        gm = [[sum(g[r][t] * m[t][s] for t in range(n) if g[r][t]) for s in range(n)]
+        sk = [[sum(g[r][t] * m[t][s] for t in range(n) if g[r][t]) for s in range(n)]
               for r in range(n)]
-        rows.append(tuple(gm[r][s] for (r, s) in pairs))
+        if any(sk[r][s] != -sk[s][r] for r in range(n) for s in range(r, n)):
+            raise ArithmeticError("G M_k is not skew: a realized operator is not "
+                                  "orthogonal for the trace form")
+        table.append(tuple((w, r, s, sk[r][s])
+                           for w, (r, s) in enumerate(wedge_pairs(tag)) if sk[r][s]))
+    return tuple(table)
+
+
+def pi_pairings(tag: AlgebraTag, w) -> List[GaussRational]:
+    """The linear forms F_k of the pi table applied to a wedge tensor w."""
+    out = []
+    for terms in pi_table(tag):
+        s = GR_ZERO
+        for i, _, _, c in terms:
+            v = w[i]
+            if v:
+                s = s + v * c
+        out.append(s)
+    return out
+
+
+@lru_cache(maxsize=None)
+def pi_functional_matrix(tag: AlgebraTag):
+    """Integer rows F_k over wedge pairs: F_k[(r,s)] = (G M_k)[r][s]."""
+    width = len(wedge_pairs(tag))
+    rows = []
+    for terms in pi_table(tag):
+        row = [0] * width
+        for w, _, _, c in terms:
+            row[w] = c
+        rows.append(tuple(row))
     return tuple(rows)
 
 
 def ker_pi_dim(tag: AlgebraTag) -> int:
-    rows = pi_functional_matrix(tag)
-    return len(wedge_pairs(tag)) - rank_int([list(r) for r in rows])
+    return len(ker_pi_basis(tag))
 
 
 @lru_cache(maxsize=None)
 def ker_pi_basis(tag: AlgebraTag):
     """Rational basis of the kernel of the projection, as wedge coordinates."""
-    rows = [list(r) for r in pi_functional_matrix(tag)]
-    return tuple(tuple(v) for v in nullspace_int_rows(rows, len(wedge_pairs(tag))))
+    return tuple(tuple(v) for v in nullspace(pi_functional_matrix(tag),
+                                             len(wedge_pairs(tag))))
 
 
 def wedge_of(X: JordanMatrix, Y: JordanMatrix):
@@ -188,14 +182,7 @@ def wedge_of(X: JordanMatrix, Y: JordanMatrix):
 
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
     """Extension of the projection to arbitrary wedge tensors."""
-    rows = pi_functional_matrix(tag)
-    vals = []
-    for row in rows:
-        s = GR_ZERO
-        for c, v in zip(row, w):
-            if c and not (isinstance(v, GaussRational) and v.is_zero()):
-                s = s + v * c
-        vals.append(s)
+    vals = pi_pairings(tag, w)
     binv = bform_inverse(tag)
     coeffs = []
     for l in range(len(vals)):
@@ -208,17 +195,7 @@ def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
-    rows = pi_functional_matrix(tag)
-    for row in rows:
-        s = GR_ZERO
-        for c, v in zip(row, w):
-            if c:
-                vv = v if isinstance(v, GaussRational) else GaussRational(v)
-                if not vv.is_zero():
-                    s = s + vv * c
-        if not s.is_zero():
-            return False
-    return True
+    return all(v.is_zero() for v in pi_pairings(tag, w))
 
 
 # -- Pierce decompositions ---------------------------------------------------------
@@ -271,10 +248,9 @@ def pierce_from_roots(X: JordanMatrix, roots) -> PierceTriple:
         num = jordan_mul(X - ident.scale(roots[j]), X - ident.scale(roots[k]))
         den = (roots[i] - roots[j]) * (roots[i] - roots[k])
         projectors.append(num.scale(GR_ONE / den))
-    triple = PierceTriple(*projectors)
-    assert sum((p.scale(r) for p, r in zip(projectors, roots)),
-               JordanMatrix.zero(tag)) == X
-    return triple
+    if sum((p.scale(r) for p, r in zip(projectors, roots)), JordanMatrix.zero(tag)) != X:
+        raise ArithmeticError("Lagrange projectors do not reassemble X")
+    return PierceTriple(*projectors)
 
 
 def omega_plucker(triple: PierceTriple):
@@ -358,6 +334,13 @@ def _full_coords(A: JordanMatrix):
     return out
 
 
+def _check_rank_one(M: JordanMatrix) -> SeveriClass:
+    cls, _ = classify_severi(M)
+    if cls not in (SeveriClass.SQUARE_ZERO, SeveriClass.PROJECTED_RANK_ONE):
+        raise ArithmeticError("a point found on the line is not on the rank-one locus")
+    return cls
+
+
 def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
     """All points of the line lying on the projected rank-one locus.
 
@@ -379,8 +362,7 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
             if not p.is_zero():
                 minors.append(p)
     if not minors:
-        cls, _ = classify_severi(Y)
-        assert cls in (SeveriClass.SQUARE_ZERO, SeveriClass.PROJECTED_RANK_ONE)
+        _check_rank_one(Y)
         return SeveriPointReport(whole_line=True, points=())
     g = minors[0]
     for p in minors[1:]:
@@ -397,8 +379,7 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
             roots, leftovers = roots_qi(factor)
             for t0 in roots:
                 m = X + Y.scale(t0)
-                cls, _ = classify_severi(m)
-                assert cls in (SeveriClass.SQUARE_ZERO, SeveriClass.PROJECTED_RANK_ONE)
+                cls = _check_rank_one(m)
                 points.append(SeveriPoint(special=(cls == SeveriClass.SQUARE_ZERO),
                                           param=(GR_ONE, t0), matrix=m))
             for irr in leftovers:
@@ -460,29 +441,35 @@ def tangent_dim(line: ReductionLine) -> int:
     """
     if not membership(line):
         raise ValueError("line is not a point of the variety of reductions")
-    tag = line.tag
-    n = j0_dim(tag)
+    n = j0_dim(line.tag)
     xv, yv = j0_coords(line.X), j0_coords(line.Y)
-    gx = _gram_apply(tag, xv)
     rows = []
-    for m in so3a_matrices(tag):
-        my = [_dot_int_row(row, yv) for row in m]
-        gmy = _gram_apply(tag, my)
-        # coefficient of dY_s: (M^T G x)_s
-        mtgx = [GR_ZERO] * n
-        for r in range(n):
-            c = gx[r]
-            if c.is_zero():
-                continue
-            for s in range(n):
-                if m[r][s]:
-                    mtgx[s] = mtgx[s] + c * m[r][s]
-        rows.append(gmy + mtgx)
+    for terms in pi_table(line.tag):
+        # the gradient [S_k y ; -S_k x] of x^T S_k y
+        row = [GR_ZERO] * (2 * n)
+        for _, r, s, c in terms:
+            row[r] = row[r] + c * yv[s]
+            row[s] = row[s] - c * yv[r]
+            row[n + s] = row[n + s] + c * xv[r]
+            row[n + r] = row[n + r] - c * xv[s]
+        rows.append(row)
     nullity = 2 * n - rank(rows)
     return nullity - 4
 
 
 # -- cubic forms --------------------------------------------------------------------------
+
+
+def _gram_apply(tag: AlgebraTag, vec):
+    g = j0_gram(tag)
+    out = []
+    for row in g:
+        s = GR_ZERO
+        for c, v in zip(row, vec):
+            if c:
+                s = s + v * c
+        out.append(s)
+    return out
 
 
 def eval_cubic_theta(tag: AlgebraTag, theta, X: JordanMatrix) -> GaussRational:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from jordanred.algebra import ALG_O
 from jordanred.cli import (build_betti, build_degree,
                            build_lie_dims, build_linear_spaces, build_orbits,
                            build_properties, build_verify_algebra,
@@ -132,6 +133,37 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
     code, _ = run_cli(["orbits", "--line", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+def _algebra_o_line():
+    return representative(ALG_O, OrbitClass.OPEN0).to_json()
+
+
+def _with_scalar(value):
+    line = _algebra_o_line()
+    line["X"]["c"][0] = value
+    return line
+
+
+@pytest.mark.parametrize("payload", [
+    {"X": {"algebra": "O"}},
+    [1, 2],
+    _with_scalar("1/0"),
+    {"X": _algebra_o_line()["X"]},
+    {"X": "O", "Y": "O"},
+    None,
+    _with_scalar(["1", "2", "3"]),
+    _with_scalar(1.5),
+], ids=["missing-key", "list", "zero-denominator", "missing-Y", "string-matrix",
+        "null", "three-part-scalar", "float-scalar"])
+def test_malformed_line_exit_code(tmp_path, capsys, payload):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(payload))
+    code = main(["orbits", "--line", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_reports_are_deterministic():

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from jordanred import reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
 from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
-                              jordan_mul, sigma1, sigma2)
+                              inner, jordan_mul, sigma1, sigma2)
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
 from jordanred.linalg import mat_mul
 from jordanred.reductions import (OrbitClass, ReductionLine,
@@ -99,6 +100,33 @@ def test_projection_vanishes_exactly_on_members(tag):
     # projection reproduces the membership pairings through the dual basis
     vals = membership_values(bad.X, bad.Y)
     assert any(not v.is_zero() for v in vals)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_membership_values_match_the_symbolic_action(tag):
+    """The pi table contraction equals trace(X o (u_k Y)) with u_k applied
+    slot-wise, independently of the realized matrices and of the table."""
+    rng = make_rng(11)
+    ops = so3a_basis(tag)
+    for _ in range(2):
+        x, y = random_traceless(tag, rng), random_traceless(tag, rng)
+        vals = membership_values(x, y)
+        assert len(vals) == len(ops)
+        for k, op in enumerate(ops):
+            assert vals[k] == inner(x, op.apply(y))
+
+
+def test_pi_table_rejects_a_non_skew_operator(monkeypatch):
+    """The wedge fold needs G M_k skew; a non-orthogonal operator is refused."""
+    n = 3 * ALG_R.dim + 2
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    reductions.pi_table.cache_clear()
+    monkeypatch.setattr(reductions, "so3a_matrices", lambda tag: [identity])
+    try:
+        with pytest.raises(ArithmeticError):
+            reductions.pi_table(ALG_R)
+    finally:
+        reductions.pi_table.cache_clear()
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -282,6 +310,17 @@ def test_severi_points_requires_membership():
         tangent_dim(off_diag_perturbation(ALG_C))
     with pytest.raises(ValueError):
         classify_orbit(off_diag_perturbation(ALG_C))
+
+
+@pytest.mark.parametrize("orbit", [OrbitClass.OPEN0, OrbitClass.CODIM4],
+                         ids=lambda o: o.value)
+def test_severi_points_raise_when_a_point_is_off_the_locus(orbit, monkeypatch):
+    """A point that fails the rank-one check is an arithmetic error, also
+    under python -O (the check is not an assert)."""
+    monkeypatch.setattr(reductions, "classify_severi",
+                        lambda m: (SeveriClass.NONE, None))
+    with pytest.raises(ArithmeticError):
+        severi_points_on_line(representative(ALG_C, orbit))
 
 
 def square_line(x):
