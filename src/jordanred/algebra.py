@@ -10,14 +10,25 @@ alternativity exhaustively over basis pairs and triples.
 
 The quadratic form q is complex-bilinear (a plain sum of coordinate
 products, no conjugation), matching the complexified norm.
+
+An element is stored as one flat Q(i) vector: a tuple `nr` of integer real
+numerators, a tuple `ni` of integer imaginary numerators and one shared
+denominator `d`, so coordinate k is (nr[k] + ni[k] i)/d.  Every element is
+normalised: d > 0 and the gcd of d and all numerators is 1, so equal
+elements have equal fields.  Arithmetic runs on the numerators and
+normalises once per operation; `coords` is a read-only view of
+`GaussRational` scalars.  The product is driven by the structure constants
+(i, j, k, sign) with e_i e_j = sign e_k, in `mul_numerators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational
+from .gaussrat import GaussRational
 
 
 @dataclass(frozen=True)
@@ -103,24 +114,165 @@ def fano_triples():
     return out
 
 
-class AlgElement:
-    """An element of a complexified composition algebra."""
 
-    __slots__ = ("tag", "coords")
+
+@lru_cache(maxsize=None)
+def structure_constants(dim: int):
+    """The terms (i, j, k, sign) of e_i e_j = sign e_k, grouped by k and sign.
+
+    Entry k is (pairs with sign +1, pairs with sign -1), each a tuple of the
+    index pairs (i, j) whose product lands on e_k.
+    """
+    out = [([], []) for _ in range(dim)]
+    for i, row in enumerate(mult_table(dim)):
+        for j, (k, s) in enumerate(row):
+            out[k][0 if s > 0 else 1].append((i, j))
+    return tuple((tuple(pos), tuple(neg)) for pos, neg in out)
+
+
+def mul_numerators(dim: int, xr, xi, yr, yi):
+    """Real and imaginary numerators of the product x y, from those of x and y.
+
+    The product's denominator is the product of the two denominators; the
+    result is not normalised.
+    """
+    outr, outi = [], []
+    for pos, neg in structure_constants(dim):
+        r = m = 0
+        for i, j in pos:
+            a = xr[i]
+            b = xi[i]
+            c = yr[j]
+            e = yi[j]
+            r += a * c - b * e
+            m += a * e + b * c
+        for i, j in neg:
+            a = xr[i]
+            b = xi[i]
+            c = yr[j]
+            e = yi[j]
+            r -= a * c - b * e
+            m -= a * e + b * c
+        outr.append(r)
+        outi.append(m)
+    return outr, outi
+
+
+def _normalize(nr, ni, d: int):
+    """(nr, ni, d) as tuples with d > 0 and gcd(d, *nr, *ni) = 1."""
+    if d < 0:
+        nr, ni, d = [-v for v in nr], [-v for v in ni], -d
+    if d != 1:
+        g = gcd(d, *nr, *ni)
+        if g != 1:
+            nr, ni, d = [v // g for v in nr], [v // g for v in ni], d // g
+    return tuple(nr), tuple(ni), d
+
+
+class FlatVector:
+    """A flat Q(i) vector over an algebra: numerators nr, ni over d, normalised.
+
+    The linear structure, equality and hashing shared by `AlgElement` and
+    `JordanMatrix`; subclasses give the coordinates their meaning.
+    """
+
+    __slots__ = ("tag", "nr", "ni", "d")
+
+    @classmethod
+    def _make(cls, tag: AlgebraTag, nr, ni, d: int):
+        """The vector with numerators nr, ni over d, normalised here."""
+        return cls._raw(tag, *_normalize(nr, ni, d))
+
+    @classmethod
+    def _raw(cls, tag: AlgebraTag, nr, ni, d: int):
+        """The vector with fields that are already normalised tuples."""
+        self = object.__new__(cls)
+        self.tag, self.nr, self.ni, self.d = tag, nr, ni, d
+        return self
+
+    def _check(self, other):
+        if self.tag != other.tag:
+            raise ValueError("algebra mismatch: %s vs %s" % (self.tag, other.tag))
+
+    def _lincomb(self, other, sign: int):
+        """self + sign * other, for sign = +-1."""
+        self._check(other)
+        dx, dy = self.d, other.d
+        if dx == dy:
+            fx, fy, d = 1, sign, dx
+        else:
+            g = gcd(dx, dy)
+            fx, fy, d = dy // g, sign * (dx // g), dx // g * dy
+        return self._make(self.tag, [a * fx + b * fy for a, b in zip(self.nr, other.nr)],
+                          [a * fx + b * fy for a, b in zip(self.ni, other.ni)], d)
+
+    def __add__(self, other):
+        return self._lincomb(other, 1)
+
+    def __sub__(self, other):
+        return self._lincomb(other, -1)
+
+    def __neg__(self):
+        return self._raw(self.tag, tuple(-a for a in self.nr),
+                         tuple(-a for a in self.ni), self.d)
+
+    def scale(self, s):
+        """s times the vector, for an int, Fraction or GaussRational s."""
+        s = GaussRational._coerce(s)
+        if s is None:
+            raise TypeError("can only scale by an int, Fraction or GaussRational")
+        sr, si = s.nr, s.ni
+        if si == 0:
+            nr = [a * sr for a in self.nr]
+            ni = [b * sr for b in self.ni]
+        else:
+            nr = [a * sr - b * si for a, b in zip(self.nr, self.ni)]
+            ni = [a * si + b * sr for a, b in zip(self.nr, self.ni)]
+        return self._make(self.tag, nr, ni, self.d * s.d)
+
+    def is_zero(self) -> bool:
+        return not any(self.nr) and not any(self.ni)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.tag == other.tag and self.d == other.d and self.nr == other.nr
+                and self.ni == other.ni)
+
+    def __hash__(self):
+        return hash((self.tag, self.nr, self.ni, self.d))
+
+
+class AlgElement(FlatVector):
+    """An element of a complexified composition algebra, as a flat Q(i) vector."""
+
+    __slots__ = ()
 
     def __init__(self, tag: AlgebraTag, coords):
-        coords = tuple(GaussRational(c) if not isinstance(c, GaussRational) else c
-                       for c in coords)
+        coords = [c if isinstance(c, GaussRational) else GaussRational(c)
+                  for c in coords]
         if len(coords) != tag.dim:
             raise ValueError("expected %d coordinates, got %d" % (tag.dim, len(coords)))
+        # each scalar is normalised, so the vector over the lcm of their
+        # denominators is normalised too
+        d = lcm(*(c.d for c in coords))
         self.tag = tag
-        self.coords = coords
+        self.nr = tuple(c.nr * (d // c.d) for c in coords)
+        self.ni = tuple(c.ni * (d // c.d) for c in coords)
+        self.d = d
+
+    @property
+    def coords(self):
+        """The coordinates as a tuple of GaussRational scalars (a view)."""
+        d = self.d
+        return tuple(GaussRational._make(r, i, d) for r, i in zip(self.nr, self.ni))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, tag: AlgebraTag) -> "AlgElement":
-        return cls(tag, (GR_ZERO,) * tag.dim)
+        z = (0,) * tag.dim
+        return cls._raw(tag, z, z, 1)
 
     @classmethod
     def one(cls, tag: AlgebraTag) -> "AlgElement":
@@ -128,73 +280,34 @@ class AlgElement:
 
     @classmethod
     def basis(cls, tag: AlgebraTag, k: int) -> "AlgElement":
-        c = [GR_ZERO] * tag.dim
-        c[k] = GR_ONE
-        return cls(tag, c)
+        nr = [0] * tag.dim
+        nr[k] = 1
+        return cls._raw(tag, tuple(nr), (0,) * tag.dim, 1)
 
     @classmethod
     def scalar(cls, tag: AlgebraTag, s) -> "AlgElement":
-        c = [GR_ZERO] * tag.dim
-        c[0] = GaussRational(s) if not isinstance(s, GaussRational) else s
-        return cls(tag, c)
+        s = s if isinstance(s, GaussRational) else GaussRational(s)
+        z = (0,) * (tag.dim - 1)
+        return cls._raw(tag, (s.nr,) + z, (s.ni,) + z, s.d)
 
     # -- ring structure --------------------------------------------------
 
-    def _check(self, other: "AlgElement"):
-        if self.tag != other.tag:
-            raise ValueError("algebra mismatch: %s vs %s" % (self.tag, other.tag))
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.tag, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.tag, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.tag, tuple(-a for a in self.coords))
-
-    def scale(self, s) -> "AlgElement":
-        return AlgElement(self.tag, tuple(a * s for a in self.coords))
-
     def __mul__(self, other: "AlgElement") -> "AlgElement":
-        """The composition-algebra product, from the structure-constant table."""
+        """The composition-algebra product, from the structure constants."""
         self._check(other)
-        dim = self.tag.dim
-        table = mult_table(dim)
-        acc = [GR_ZERO] * dim
-        for i, xi in enumerate(self.coords):
-            if xi.is_zero():
-                continue
-            ti = table[i]
-            for j, yj in enumerate(other.coords):
-                if yj.is_zero():
-                    continue
-                k, s = ti[j]
-                term = xi * yj
-                acc[k] = acc[k] - term if s < 0 else acc[k] + term
-        return AlgElement(self.tag, acc)
+        nr, ni = mul_numerators(self.tag.dim, self.nr, self.ni, other.nr, other.ni)
+        return AlgElement._make(self.tag, nr, ni, self.d * other.d)
 
     def conj(self) -> "AlgElement":
-        return AlgElement(self.tag, (self.coords[0],) + tuple(-c for c in self.coords[1:]))
+        nr, ni = self.nr, self.ni
+        return AlgElement._raw(self.tag, nr[:1] + tuple(-v for v in nr[1:]),
+                               ni[:1] + tuple(-v for v in ni[1:]), self.d)
 
     def re(self) -> GaussRational:
-        return self.coords[0]
+        return GaussRational._make(self.nr[0], self.ni[0], self.d)
 
     def im_part(self) -> "AlgElement":
-        return AlgElement(self.tag, (GR_ZERO,) + self.coords[1:])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.tag == other.tag and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.tag, self.coords))
+        return AlgElement._make(self.tag, (0,) + self.nr[1:], (0,) + self.ni[1:], self.d)
 
     def __repr__(self):
         terms = []
@@ -222,12 +335,10 @@ def qbilin(x: AlgElement, y: AlgElement) -> GaussRational:
     """The complex-bilinear scalar product: sum of coordinate products."""
     if x.tag != y.tag:
         raise ValueError("algebra mismatch: %s vs %s" % (x.tag, y.tag))
-    s = GR_ZERO
-    for a, b in zip(x.coords, y.coords):
-        if a.is_zero() or b.is_zero():
-            continue
-        s = s + a * b
-    return s
+    xr, xi, yr, yi = x.nr, x.ni, y.nr, y.ni
+    return GaussRational._make(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                               sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
+                               x.d * y.d)
 
 
 def qform(x: AlgElement) -> GaussRational:

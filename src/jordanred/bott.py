@@ -243,7 +243,8 @@ def enumerate_fixed_points() -> Tuple[FixedPointDatum, ...]:
             if prev.tangent_char != moved.tangent_char:
                 raise AssertionError("inconsistent data at %r" % (moved.key(),))
     out = sorted(data.values(), key=lambda d: (d.class_id, d.supports))
-    assert len(out) == 22, "fixed-point count is off: %d" % len(out)
+    if len(out) != 22:
+        raise ArithmeticError("fixed-point count is off: %d" % len(out))
     return tuple(out)
 
 

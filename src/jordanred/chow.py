@@ -245,11 +245,14 @@ def fixed_point_count(a: int) -> int:
 
 
 def topology(a: int):
-    """(BettiTable, euler, fixed_count), with the cross-checks asserted."""
+    """(BettiTable, euler, fixed_count); a failed cross-check raises ArithmeticError."""
     table = betti_table(a)
     euler = table.euler()
     fc = fixed_point_count(a)
-    assert euler == fc, "fixed-point count disagrees with the Euler characteristic"
-    assert euler == 3 * a * (a + 2) // 2 + 1 if a >= 2 else euler == 4
-    assert table.is_symmetric()
+    if euler != fc:
+        raise ArithmeticError("fixed-point count disagrees with the Euler characteristic")
+    if euler != (3 * a * (a + 2) // 2 + 1 if a >= 2 else 4):
+        raise ArithmeticError("Euler characteristic differs from its closed form")
+    if not table.is_symmetric():
+        raise ArithmeticError("Betti table is not symmetric")
     return table, euler, fc

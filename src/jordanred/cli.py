@@ -246,9 +246,10 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
             d = det(X)
             p_coef, q_coef = -q / 2, -d
             cubic_disc = -4 * p_coef * p_coef * p_coef - 27 * q_coef * q_coef
-            if discriminant(X).is_zero() != cubic_disc.is_zero():
+            disc = discriminant(X)
+            if disc.is_zero() != cubic_disc.is_zero():
                 ok = False
-            if discriminant(X) != 2 * cubic_disc:
+            if disc != 2 * cubic_disc:
                 ok = False
         rep.add_bool("%s: discriminant matches the cubic-discriminant oracle"
                      % tag, ok, "derived")

@@ -1,15 +1,37 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars, and their wire format.
 
-Every number in this package lives in Q(i).  A value is stored as a
+Every number in this package lives in Q(i).  A scalar is stored as a
 normalized integer triple (nr, ni, d) meaning (nr + ni*i)/d with d > 0 and
-gcd(nr, ni, d) = 1, which keeps the common bilinear-form and elimination
-loops on plain machine integers as long as possible.
+gcd(nr, ni, d) = 1.  Vectors do not hold one such object per coordinate:
+`AlgElement` and `JordanMatrix` keep the same layout for a whole vector,
+a tuple of real numerators, a tuple of imaginary numerators and one shared
+denominator d > 0 with the gcd of d and all numerators equal to 1, and build
+scalars of this type only for results and read-only views.
+
+On the wire a scalar is a reduced "p/q" string (or "p") when real and a
+pair [re, im] of those otherwise; JSON ints are accepted on input.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(obj) -> Fraction:
+    """A JSON int or a string fully matching -?digits(/digits)?, as a Fraction."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
+        try:
+            return Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % obj) from None
+    raise ValueError("not a Q(i) scalar encoding: %r" % (obj,))
 
 
 def _fraction_sqrt(x: Fraction):
@@ -233,13 +255,14 @@ class GaussRational:
 
     @classmethod
     def from_json(cls, obj) -> "GaussRational":
-        if isinstance(obj, str):
-            return cls(Fraction(obj))
-        if isinstance(obj, int):
-            return cls(obj)
+        """Parse "p/q" or an int when real, a pair [re, im] of those otherwise.
+
+        Anything else, such as a float, "1e3", "1.5" or " 1/2 ", raises
+        ValueError; the pattern is matched before any number is built.
+        """
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return cls(Fraction(str(obj[0])), Fraction(str(obj[1])))
-        raise ValueError("not a Q(i) scalar encoding: %r" % (obj,))
+            return cls(_parse_rational(obj[0]), _parse_rational(obj[1]))
+        return cls(_parse_rational(obj))
 
 
 GR_ZERO = GaussRational(0)

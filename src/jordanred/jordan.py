@@ -10,15 +10,25 @@ three algebra entries x_1, x_2, x_3 sitting at positions (2,3), (3,1),
 
 "Hermitian" refers to the algebra conjugation only; the diagonal scalars
 are arbitrary complex numbers (the form is complex-bilinear throughout).
+
+The 3a + 3 coordinates (c_1, c_2, c_3, then the a coordinates of x_1, x_2
+and x_3) form one flat Q(i) vector, laid out as in `algebra`: integer real
+numerators `nr`, integer imaginary numerators `ni` and one shared
+denominator `d`, normalised so that d > 0 and the gcd of d and all
+numerators is 1.  The product, the trace form, the trace and the
+determinant are single passes over the numerators; `c` and `x` are
+read-only views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from math import lcm
+from operator import mul
 from typing import Optional, Tuple
 
-from .algebra import AlgebraTag, AlgElement, qbilin, tag_by_name
+from .algebra import (AlgebraTag, AlgElement, FlatVector, mul_numerators, qbilin,
+                      tag_by_name)
 from .gaussrat import GR_ONE, GR_ZERO, GaussRational
 
 
@@ -27,19 +37,44 @@ THIRD = GaussRational(1, 0) / 3
 SIXTH = GaussRational(1, 0) / 6
 
 
-class JordanMatrix:
-    __slots__ = ("tag", "c", "x")
+def _slots(a: int):
+    """The start index of x_1, x_2, x_3 in the flat coordinate vector."""
+    return (3, 3 + a, 3 + 2 * a)
+
+
+class JordanMatrix(FlatVector):
+    __slots__ = ()
 
     def __init__(self, tag: AlgebraTag, c, x):
-        self.tag = tag
-        self.c = tuple(GaussRational(v) if not isinstance(v, GaussRational) else v
-                       for v in c)
-        self.x = tuple(x)
-        if len(self.c) != 3 or len(self.x) != 3:
+        c = [v if isinstance(v, GaussRational) else GaussRational(v) for v in c]
+        x = tuple(x)
+        if len(c) != 3 or len(x) != 3:
             raise ValueError("need 3 diagonal scalars and 3 off-diagonal entries")
-        for e in self.x:
+        for e in x:
             if e.tag != tag:
                 raise ValueError("off-diagonal entry from the wrong algebra")
+        # each part is normalised, so the vector over the lcm is normalised too
+        d = lcm(*(v.d for v in c), *(e.d for e in x))
+        nr = [v.nr * (d // v.d) for v in c]
+        ni = [v.ni * (d // v.d) for v in c]
+        for e in x:
+            f = d // e.d
+            nr.extend(v * f for v in e.nr)
+            ni.extend(v * f for v in e.ni)
+        self.tag, self.nr, self.ni, self.d = tag, tuple(nr), tuple(ni), d
+
+    @property
+    def c(self) -> Tuple[GaussRational, GaussRational, GaussRational]:
+        """The diagonal scalars (a view)."""
+        nr, ni, d = self.nr, self.ni, self.d
+        return tuple(GaussRational._make(nr[k], ni[k], d) for k in range(3))
+
+    @property
+    def x(self) -> Tuple[AlgElement, AlgElement, AlgElement]:
+        """The off-diagonal entries x_1, x_2, x_3 (a view)."""
+        a = self.tag.dim
+        return tuple(AlgElement._make(self.tag, self.nr[lo:lo + a], self.ni[lo:lo + a],
+                                      self.d) for lo in _slots(a))
 
     # -- constructors -----------------------------------------------------
 
@@ -50,11 +85,13 @@ class JordanMatrix:
 
     @classmethod
     def identity(cls, tag: AlgebraTag) -> "JordanMatrix":
-        return cls.diag(tag, 1, 1, 1)
+        z = (0,) * (3 * tag.dim)
+        return cls._raw(tag, (1, 1, 1) + z, (0, 0, 0) + z, 1)
 
     @classmethod
     def zero(cls, tag: AlgebraTag) -> "JordanMatrix":
-        return cls.diag(tag, 0, 0, 0)
+        z = (0,) * (3 * tag.dim + 3)
+        return cls._raw(tag, z, z, 1)
 
     @classmethod
     def from_entries(cls, tag: AlgebraTag, entries) -> "JordanMatrix":
@@ -80,54 +117,18 @@ class JordanMatrix:
             [x2, x1.conj(), s[2]],
         ]
 
-    # -- linear structure ---------------------------------------------------
-
-    def _check(self, other: "JordanMatrix"):
-        if self.tag != other.tag:
-            raise ValueError("algebra mismatch: %s vs %s" % (self.tag, other.tag))
-
-    def __add__(self, other: "JordanMatrix") -> "JordanMatrix":
-        self._check(other)
-        return JordanMatrix(self.tag,
-                            tuple(a + b for a, b in zip(self.c, other.c)),
-                            tuple(a + b for a, b in zip(self.x, other.x)))
-
-    def __sub__(self, other: "JordanMatrix") -> "JordanMatrix":
-        self._check(other)
-        return JordanMatrix(self.tag,
-                            tuple(a - b for a, b in zip(self.c, other.c)),
-                            tuple(a - b for a, b in zip(self.x, other.x)))
-
-    def __neg__(self) -> "JordanMatrix":
-        return JordanMatrix(self.tag, tuple(-a for a in self.c),
-                            tuple(-a for a in self.x))
-
-    def scale(self, s) -> "JordanMatrix":
-        s = GaussRational(s) if not isinstance(s, GaussRational) else s
-        return JordanMatrix(self.tag, tuple(a * s for a in self.c),
-                            tuple(a.scale(s) for a in self.x))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.c) and all(e.is_zero() for e in self.x)
-
-    def __eq__(self, other):
-        if not isinstance(other, JordanMatrix):
-            return NotImplemented
-        return self.tag == other.tag and self.c == other.c and self.x == other.x
-
-    def __hash__(self):
-        return hash((self.tag, self.c, self.x))
-
     def __repr__(self):
         return "JordanMatrix(%s, c=%r, x=%r)" % (self.tag, self.c, self.x)
 
     # -- trace forms ---------------------------------------------------------
 
     def trace(self) -> GaussRational:
-        return self.c[0] + self.c[1] + self.c[2]
+        nr, ni = self.nr, self.ni
+        return GaussRational._make(nr[0] + nr[1] + nr[2], ni[0] + ni[1] + ni[2], self.d)
 
     def is_traceless(self) -> bool:
-        return self.trace().is_zero()
+        nr, ni = self.nr, self.ni
+        return nr[0] + nr[1] + nr[2] == 0 and ni[0] + ni[1] + ni[2] == 0
 
     # -- JSON ------------------------------------------------------------------
 
@@ -151,31 +152,49 @@ class JordanMatrix:
         return cls(tag, c, x)
 
 
+def _bilinear(xr, xi, yr, yi):
+    """Numerators (real, imaginary) of the complex-bilinear sum of x_k y_k."""
+    return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+
 def jordan_mul(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """The symmetrized product (AB + BA)/2, entrywise.
 
     For diagonal i (cyclic indices):   c_i d_i + q(x_{i+1},y_{i+1}) + q(x_{i+2},y_{i+2})
     For off-diagonal slot i:  ((c_{i+1}+c_{i+2}) y_i + (d_{i+1}+d_{i+2}) x_i
                                + conj(y_{i+1} x_{i+2} + x_{i+1} y_{i+2})) / 2
+
+    One pass over the numerators: every term lies over d_A d_B, and the 1/2
+    goes into the denominator 2 d_A d_B, so the diagonal terms are doubled.
     """
     A._check(B)
-    c, x = A.c, A.x
-    d, y = B.c, B.x
-    q12 = qbilin(x[0], y[0])
-    q20 = qbilin(x[1], y[1])
-    q01 = qbilin(x[2], y[2])
-    new_c = (
-        c[0] * d[0] + q20 + q01,
-        c[1] * d[1] + q01 + q12,
-        c[2] * d[2] + q12 + q20,
-    )
-    new_x = []
+    a = A.tag.dim
+    ar, ai, br, bi = A.nr, A.ni, B.nr, B.ni
+    slots = _slots(a)
+    x = [(ar[lo:lo + a], ai[lo:lo + a]) for lo in slots]
+    y = [(br[lo:lo + a], bi[lo:lo + a]) for lo in slots]
+    q = [_bilinear(*x[m], *y[m]) for m in range(3)]
+    nr, ni = [], []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        e = y[i].scale((c[j] + c[k]) * HALF) + x[i].scale((d[j] + d[k]) * HALF)
-        e = e + (y[j] * x[k] + x[j] * y[k]).conj().scale(HALF)
-        new_x.append(e)
-    return JordanMatrix(A.tag, new_c, tuple(new_x))
+        nr.append(2 * (ar[i] * br[i] - ai[i] * bi[i] + q[j][0] + q[k][0]))
+        ni.append(2 * (ar[i] * bi[i] + ai[i] * br[i] + q[j][1] + q[k][1]))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cr, ci = ar[j] + ar[k], ai[j] + ai[k]
+        dr, di = br[j] + br[k], bi[j] + bi[k]
+        (xr, xi), (yr, yi) = x[i], y[i]
+        pr, pi = mul_numerators(a, *y[j], *x[k])
+        sr, si = mul_numerators(a, *x[j], *y[k])
+        for t in range(a):
+            # conj negates every coordinate but the real unit's
+            er, ei = pr[t] + sr[t], pi[t] + si[t]
+            if t:
+                er, ei = -er, -ei
+            nr.append(cr * yr[t] - ci * yi[t] + dr * xr[t] - di * xi[t] + er)
+            ni.append(cr * yi[t] + ci * yr[t] + dr * xi[t] + di * xr[t] + ei)
+    return JordanMatrix._make(A.tag, nr, ni, 2 * A.d * B.d)
 
 
 def jordan_mul_full(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
@@ -194,12 +213,16 @@ def jordan_mul_full(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
 
 
 def inner(A: JordanMatrix, B: JordanMatrix) -> GaussRational:
-    """trace(A o B), the invariant symmetric bilinear form."""
+    """trace(A o B), the invariant symmetric bilinear form.
+
+    The sum of all coordinate products, with the off-diagonal ones counted
+    twice.
+    """
     A._check(B)
-    s = A.c[0] * B.c[0] + A.c[1] * B.c[1] + A.c[2] * B.c[2]
-    for i in range(3):
-        s = s + qbilin(A.x[i], B.x[i]) * 2
-    return s
+    ar, ai, br, bi = A.nr, A.ni, B.nr, B.ni
+    allr, alli = _bilinear(ar, ai, br, bi)
+    offr, offi = _bilinear(ar[3:], ai[3:], br[3:], bi[3:])
+    return GaussRational._make(allr + offr, alli + offi, A.d * B.d)
 
 
 def trace_forms(X: JordanMatrix) -> Tuple[GaussRational, GaussRational, GaussRational]:
@@ -210,11 +233,28 @@ def trace_forms(X: JordanMatrix) -> Tuple[GaussRational, GaussRational, GaussRat
 
 
 def det(X: JordanMatrix) -> GaussRational:
-    """Determinant via traces of Jordan powers: (t1^3 - 3 t1 t2 + 2 t3)/6."""
-    x2 = jordan_mul(X, X)
-    x3 = jordan_mul(X, x2)
-    t1, t2, t3 = X.trace(), x2.trace(), x3.trace()
-    return (t1 * t1 * t1 - 3 * t1 * t2 + 2 * t3) * SIXTH
+    """Freudenthal's cubic norm c_1 c_2 c_3 - sum c_i q(x_i) + 2 Re((x_1 x_2) x_3).
+
+    It equals (t_1^3 - 3 t_1 t_2 + 2 t_3)/6 with t_k the trace of the k-th
+    Jordan power; the test suite keeps that formula as the reference.  One
+    pass over the numerators, over the denominator d^3.
+    """
+    a = X.tag.dim
+    nr, ni = X.nr, X.ni
+    x = [(nr[lo:lo + a], ni[lo:lo + a]) for lo in _slots(a)]
+    pr, pi = nr[0] * nr[1] - ni[0] * ni[1], nr[0] * ni[1] + ni[0] * nr[1]
+    sr, si = pr * nr[2] - pi * ni[2], pr * ni[2] + pi * nr[2]
+    for k in range(3):
+        qr, qi = _bilinear(*x[k], *x[k])
+        sr -= nr[k] * qr - ni[k] * qi
+        si -= nr[k] * qi + ni[k] * qr
+    # Re(p y) = p_0 y_0 - sum_{k >= 1} p_k y_k for p = x_1 x_2 and y = x_3
+    pr, pi = mul_numerators(a, *x[0], *x[1])
+    yr, yi = x[2]
+    tr, ti = _bilinear(pr[1:], pi[1:], yr[1:], yi[1:])
+    sr += 2 * (pr[0] * yr[0] - pi[0] * yi[0] - tr)
+    si += 2 * (pr[0] * yi[0] + pi[0] * yr[0] - ti)
+    return GaussRational._make(sr, si, X.d ** 3)
 
 
 def det3(X: JordanMatrix, Y: JordanMatrix, Z: JordanMatrix) -> GaussRational:
@@ -279,22 +319,12 @@ def classify_severi(X: JordanMatrix) -> Tuple[SeveriClass, Optional[GaussRationa
 
 def _proportionality_factor(N: JordanMatrix, X: JordanMatrix):
     """s with N = s X, or None.  X is assumed nonzero."""
-    s = None
-    for a, b in zip(N.c, X.c):
-        if not b.is_zero():
-            s = a / b
-            break
-    if s is None:
-        for e, f in zip(N.x, X.x):
-            for a, b in zip(e.coords, f.coords):
-                if not b.is_zero():
-                    s = a / b
-                    break
-            if s is not None:
-                break
-    if s is None:
-        return None
-    return s if X.scale(s) == N else None
+    for k, (xr, xi) in enumerate(zip(X.nr, X.ni)):
+        if xr or xi:
+            s = (GaussRational._make(N.nr[k], N.ni[k], N.d)
+                 / GaussRational._make(xr, xi, X.d))
+            return s if X.scale(s) == N else None
+    return None
 
 
 def rank_one_lift(X: JordanMatrix):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
 from .gaussrat import GR_ONE, GR_ZERO, GaussRational
@@ -43,14 +44,18 @@ def j0_basis(tag: AlgebraTag):
     return tuple(basis)
 
 
-def j0_coords(X: JordanMatrix):
-    """Coordinates of a traceless matrix in the fixed J0 basis."""
+def j0_numerators(X: JordanMatrix):
+    """(real numerators, imaginary numerators, d) of the J0 coordinates of X."""
     if not X.is_traceless():
         raise ValueError("matrix is not traceless")
-    out = [X.c[0], -X.c[2]]
-    for slot in range(3):
-        out.extend(X.x[slot].coords)
-    return out
+    nr, ni = X.nr, X.ni
+    return (nr[0], -nr[2]) + nr[3:], (ni[0], -ni[2]) + ni[3:], X.d
+
+
+def j0_coords(X: JordanMatrix):
+    """Coordinates of a traceless matrix in the fixed J0 basis."""
+    nr, ni, d = j0_numerators(X)
+    return [GaussRational._make(r, i, d) for r, i in zip(nr, ni)]
 
 
 def j0_from_coords(tag: AlgebraTag, vec) -> JordanMatrix:
@@ -71,8 +76,9 @@ def j0_gram(tag: AlgebraTag):
         row = []
         for bj in basis:
             v = inner(bi, bj)
-            assert v.im == 0 and v.re.denominator == 1
-            row.append(int(v.re))
+            if v.ni or v.d != 1:
+                raise ArithmeticError("trace form not integral on the J0 basis")
+            row.append(v.nr)
         g.append(tuple(row))
     return tuple(g)
 
@@ -104,7 +110,9 @@ def _apply_int_matrix(m, coords):
 
 
 def apply_skew(tag: AlgebraTag, m, x: AlgElement) -> AlgElement:
-    return AlgElement(tag, _apply_int_matrix(m, x.coords))
+    """The integer matrix m applied to the coordinates of x."""
+    return AlgElement._make(tag, [sum(map(mul, row, x.nr)) for row in m],
+                            [sum(map(mul, row, x.ni)) for row in m], x.d)
 
 
 @lru_cache(maxsize=None)
@@ -222,8 +230,7 @@ class So3AOperator:
         self.a2 = a2 if a2 is not None else z
         self.a3 = a3 if a3 is not None else z
         # realized columns, transposed into row-major form
-        self.matrix = tuple(zip(*(
-            [_as_int(v) for v in j0_coords(self.apply(b))] for b in j0_basis(tag))))
+        self.matrix = tuple(zip(*(_integral(self.apply(b)) for b in j0_basis(tag))))
 
     def apply(self, X: JordanMatrix) -> JordanMatrix:
         """The slot-wise derivation action, extended linearly.
@@ -282,10 +289,12 @@ class So3AOperator:
         return "So3AOperator(%s, %s)" % (self.tag, kind)
 
 
-def _as_int(v: GaussRational) -> int:
-    if v.im != 0 or v.re.denominator != 1:
+def _integral(X: JordanMatrix):
+    """The J0 coordinates of X, which must be integers."""
+    nr, ni, d = j0_numerators(X)
+    if d != 1 or any(ni):
         raise ArithmeticError("realized operator not integral")
-    return int(v.re)
+    return nr
 
 
 @lru_cache(maxsize=None)

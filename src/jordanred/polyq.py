@@ -136,12 +136,14 @@ def squarefree_factors(f: PolyQi):
     while w.degree > 0:
         y = poly_gcd(w, g)
         fac, r = w.divmod(y)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise ArithmeticError("inexact division in the squarefree decomposition")
         if fac.degree > 0:
             out.append((fac.monic(), i))
         w = y
         g, r = g.divmod(y)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise ArithmeticError("inexact division in the squarefree decomposition")
         i += 1
     return out
 
@@ -297,7 +299,8 @@ def roots_qi(f: PolyQi):
             break
         roots.append(r)
         f, rem = f.divmod(PolyQi([-r, GR_ONE]))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise ArithmeticError("a root found does not divide the polynomial")
     return roots, leftovers
 
 

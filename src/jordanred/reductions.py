@@ -19,7 +19,7 @@ from .gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
 from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_coords, j0_dim, j0_gram,
-                     so3a_matrices)
+                     j0_numerators, so3a_matrices)
 from .linalg import nullspace, rank
 from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
 
@@ -176,8 +176,17 @@ def ker_pi_basis(tag: AlgebraTag):
 
 def wedge_of(X: JordanMatrix, Y: JordanMatrix):
     """Coordinates of X wedge Y over the wedge pairs of the J0 basis."""
-    xc, yc = j0_coords(X), j0_coords(Y)
-    return tuple(xc[r] * yc[s] - xc[s] * yc[r] for (r, s) in wedge_pairs(X.tag))
+    xr, xi, dx = j0_numerators(X)
+    yr, yi, dy = j0_numerators(Y)
+    d = dx * dy
+    out = []
+    for r, s in wedge_pairs(X.tag):
+        # x_r y_s - x_s y_r on the numerators, over dx dy
+        a, b, c, e = xr[r], xi[r], yr[s], yi[s]
+        f, g, h, k = xr[s], xi[s], yr[r], yi[r]
+        out.append(GaussRational._make(a * c - b * e - f * h + g * k,
+                                       a * e + b * c - f * k - g * h, d))
+    return tuple(out)
 
 
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
@@ -328,10 +337,8 @@ def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
 
 
 def _full_coords(A: JordanMatrix):
-    out = list(A.c)
-    for e in A.x:
-        out.extend(e.coords)
-    return out
+    d = A.d
+    return [GaussRational._make(r, i, d) for r, i in zip(A.nr, A.ni)]
 
 
 def _check_rank_one(M: JordanMatrix) -> SeveriClass:

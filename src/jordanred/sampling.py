@@ -73,7 +73,8 @@ def element_of_norm(tag: AlgebraTag, target: GaussRational) -> AlgElement:
     coords[0] = beta
     coords[1] = gamma
     out = AlgElement(tag, coords)
-    assert qbilin(out, out) == target
+    if qbilin(out, out) != target:
+        raise ArithmeticError("element does not have the prescribed norm")
     return out
 
 
@@ -90,7 +91,8 @@ def random_square_zero(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
         x = random_element(tag, rng)
         y = element_of_norm(tag, GaussRational(-1) - qbilin(x, x))
     z = rank_one_from_chart(tag, x, y)
-    assert z.trace().is_zero()
+    if not z.trace().is_zero():
+        raise ArithmeticError("square-zero sample is not traceless")
     return z
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from jordanred import chow
 from jordanred.chow import (DEG_Y4, DEG_Y8, BidegreePoly, H1, H2, HYP,
                             betti_table, blowup_intersection, degree_y2_blowup,
                             degree_y2_hilb, fixed_point_count, hilb_term_table,
@@ -92,6 +93,14 @@ def test_severi_betti_pattern(a):
     assert values == values[::-1]
     assert values[a] == 3
     assert sum(values) == 3 * a + 3
+
+
+def test_topology_raises_when_a_cross_check_fails(monkeypatch):
+    """A failed cross-check is an arithmetic error, also under python -O
+    (the check is not an assert)."""
+    monkeypatch.setattr(chow, "fixed_point_count", lambda a: 0)
+    with pytest.raises(ArithmeticError):
+        topology(8)
 
 
 def test_topology_rejects_bad_dimension():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -145,6 +146,13 @@ def _with_scalar(value):
     return line
 
 
+def _with_diagonal(values):
+    """The open line with X's diagonal replaced; traceless if the strings parse."""
+    line = _algebra_o_line()
+    line["X"]["c"] = values
+    return line
+
+
 @pytest.mark.parametrize("payload", [
     {"X": {"algebra": "O"}},
     [1, 2],
@@ -154,8 +162,11 @@ def _with_scalar(value):
     None,
     _with_scalar(["1", "2", "3"]),
     _with_scalar(1.5),
+    _with_diagonal(["1e3", "1", "-1001"]),
+    _with_diagonal(["1_0", "1", "-11"]),
 ], ids=["missing-key", "list", "zero-denominator", "missing-Y", "string-matrix",
-        "null", "three-part-scalar", "float-scalar"])
+        "null", "three-part-scalar", "float-scalar", "exponent-scalar",
+        "underscore-scalar"])
 def test_malformed_line_exit_code(tmp_path, capsys, payload):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(payload))
@@ -173,6 +184,14 @@ def test_reports_are_deterministic():
     _, t1 = run_cli(["orbits", "--algebra", "C"])
     _, t2 = run_cli(["orbits", "--algebra", "C"])
     assert t1 == t2
+
+
+def test_all_report_digest_is_pinned():
+    """The seeded `all` report is byte-identical to the recorded one."""
+    code, out = run_cli(["all", "--json", "--seed", "7"])
+    assert code == 1  # the three bott red flags
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "fee1b6721424557397b14b6937e6a0359bdccce8f4b2800b94253e21627626eb"
 
 
 def test_verify_suites_pass():

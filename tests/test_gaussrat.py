@@ -79,5 +79,8 @@ def test_json_round_trip():
         assert GaussRational.from_json(x.to_json()) == x
     assert gr(Fraction(3, 7)).to_json() == "3/7"
     assert gr(1, -1).to_json() == ["1", "-1"]
-    with pytest.raises(ValueError):
-        GaussRational.from_json({"re": 1})
+    assert GaussRational.from_json(["-3/4", 2]) == gr(Fraction(-3, 4), 2)
+    for bad in ({"re": 1}, "1e3", "1.5", " 1/2 ", "1_0", "+1", "1/0", True, 1.5,
+                ["1", "1e3"]):
+        with pytest.raises(ValueError):
+            GaussRational.from_json(bad)
