@@ -56,6 +56,10 @@ class GaussRational:
                 raise TypeError("cannot add an imaginary part to a GaussRational")
             self.nr, self.ni, self.d = re.nr, re.ni, re.d
             return
+        if type(re) is int and type(im) is int:
+            # already normalised over d = 1; bools take the Fraction path
+            self.nr, self.ni, self.d = re, im, 1
+            return
         re = Fraction(re)
         im = Fraction(im)
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)

@@ -15,11 +15,11 @@ Basis of J0 (dimension 3a + 2):
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational
+from .gaussrat import GR_ZERO, GaussRational
 from .jordan import JordanMatrix, inner
 from .linalg import RowSpan, invert, nullspace, rank
 
@@ -524,69 +524,106 @@ def standard_derivation(x: AlgElement, y: AlgElement):
 
 
 # -- unipotent automorphisms (exact exponentials of nilpotent derivations) --------
+#
+# Matrices over Q(i) are multiplied here as Gaussian integer numerator rows
+# (re, im) over one denominator d, and built as GaussRational only at the end.
 
 
-def _gr_matrix_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(n):
-            s = GR_ZERO
-            for k in range(n):
-                if ai[k]:
-                    s = s + ai[k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+def _numerator_matrix(mat):
+    """(re rows, im rows, d) with mat = (re + i im)/d, d the lcm of the entries'."""
+    d = lcm(*(v.d for row in mat for v in row))
+    return ([[v.nr * (d // v.d) for v in row] for row in mat],
+            [[v.ni * (d // v.d) for v in row] for row in mat], d)
 
 
-def _gr_identity(n):
-    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+def _gr_from_numerators(re, im, d):
+    return [[GaussRational._make(a, b, d) for a, b in zip(ra, ia)]
+            for ra, ia in zip(re, im)]
+
+
+def _numerator_mul(ar, ai, br, bi):
+    """The numerators of (ar + i ai)(br + i bi), row by row, skipping zeros."""
+    n = len(br[0])
+    outr, outi = [], []
+    for xr, xi in zip(ar, ai):
+        sr, si = [0] * n, [0] * n
+        for k, (p, q) in enumerate(zip(xr, xi)):
+            if p:
+                yr, yi = br[k], bi[k]
+                sr = [s + p * y for s, y in zip(sr, yr)]
+                si = [s + p * y for s, y in zip(si, yi)]
+            if q:
+                yr, yi = br[k], bi[k]
+                sr = [s - q * y for s, y in zip(sr, yi)]
+                si = [s + q * y for s, y in zip(si, yr)]
+        outr.append(sr)
+        outi.append(si)
+    return outr, outi
+
+
+def _identity_numerators(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)]
+
+
+def _is_zero_matrix(re, im) -> bool:
+    return not any(any(row) for row in re) and not any(any(row) for row in im)
+
+
+def _reduced(re, im, d):
+    """(re, im, d) divided by the gcd of d and every numerator."""
+    g = gcd(d, *(v for row in re for v in row), *(v for row in im for v in row))
+    if g == 1:
+        return re, im, d
+    return ([[v // g for v in row] for row in re], [[v // g for v in row] for row in im],
+            d // g)
 
 
 def is_nilpotent(mat, maxpow=None):
-    n = len(mat)
-    maxpow = maxpow or n + 1
-    p = mat
+    """Whether a power of mat up to maxpow (default n + 1) vanishes.
+
+    Vanishing does not depend on the denominator, so the powers are taken of
+    the integer numerators alone.
+    """
+    maxpow = maxpow or len(mat) + 1
+    re, im, _ = _numerator_matrix(mat)
+    pr, pi = re, im
     for _ in range(maxpow):
-        if all(all(not v for v in row) for row in p):
+        if _is_zero_matrix(pr, pi):
             return True
-        p = _gr_matrix_mul(p, mat)
+        pr, pi = _numerator_mul(pr, pi, re, im)
     return False
+
+
+def _exp_numerators(re, im, d):
+    """Numerators of exp(A/d) for a nilpotent Gaussian integer matrix A.
+
+    With A^m the last nonzero power, exp(A/d) = sum_k A^k d^(m-k) (m!/k!)
+    over the one denominator d^m m!.
+    """
+    n = len(re)
+    powers = [_identity_numerators(n)]
+    while True:
+        pr, pi = _numerator_mul(*powers[-1], re, im)
+        if _is_zero_matrix(pr, pi):
+            break
+        if len(powers) == n + 2:
+            raise ValueError("matrix is not nilpotent")
+        powers.append((pr, pi))
+    m = len(powers) - 1
+    outr = [[0] * n for _ in range(n)]
+    outi = [[0] * n for _ in range(n)]
+    for k, (pr, pi) in enumerate(powers):
+        f = d ** (m - k) * (factorial(m) // factorial(k))
+        for orow, oirow, prow, pirow in zip(outr, outi, pr, pi):
+            for j in range(n):
+                orow[j] += f * prow[j]
+                oirow[j] += f * pirow[j]
+    return _reduced(outr, outi, d ** m * factorial(m))
 
 
 def exp_nilpotent(mat):
     """Exact exp of a nilpotent GaussRational matrix."""
-    n = len(mat)
-    out = _gr_identity(n)
-    term = _gr_identity(n)
-    k = 1
-    while True:
-        term = _gr_matrix_mul(term, mat)
-        if all(all(not v for v in row) for row in term):
-            break
-        inv = GR_ONE / GaussRational(_factorial(k))
-        for i in range(n):
-            for j in range(n):
-                if term[i][j]:
-                    out[i][j] = out[i][j] + term[i][j] * inv
-        k += 1
-        if k > n + 2:
-            raise ValueError("matrix is not nilpotent")
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _gr_mat(int_mat):
-    return [[GaussRational(v) for v in row] for row in int_mat]
+    return _gr_from_numerators(*_exp_numerators(*_numerator_matrix(mat)))
 
 
 @lru_cache(maxsize=None)
@@ -630,13 +667,16 @@ def random_unipotent(tag: AlgebraTag, rng, factors: int = 3):
     """A random product of exact unipotent automorphisms of J3(A), on J0."""
     gens = nilpotent_generators(tag)
     n = j0_dim(tag)
-    g = _gr_identity(n)
+    g_re, g_im = _identity_numerators(n)
+    g_d = 1
     for _ in range(factors):
         m = gens[rng.randrange(len(gens))]
         t = rng.choice((-2, -1, 1, 2))
-        scaled = [[v * t for v in row] for row in m]
-        g = _gr_matrix_mul(g, exp_nilpotent(scaled))
-    return g
+        mr, mi, md = _numerator_matrix(m)
+        er, ei, ed = _exp_numerators([[v * t for v in row] for row in mr],
+                                     [[v * t for v in row] for row in mi], md)
+        g_re, g_im, g_d = _reduced(*_numerator_mul(g_re, g_im, er, ei), g_d * ed)
+    return _gr_from_numerators(g_re, g_im, g_d)
 
 
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraTag, AlgElement
@@ -88,12 +89,22 @@ def _proportional(X: JordanMatrix, Y: JordanMatrix) -> bool:
 
 def membership_values(X: JordanMatrix, Y: JordanMatrix) -> List[GaussRational]:
     """The pairing trace(X o (u_k Y)) over the so3(A) basis."""
-    return pi_pairings(X.tag, wedge_of(X, Y))
+    re, im, d = _wedge_numerators(X, Y)
+    return [GaussRational._make(a, b, d) for a, b in pi_pairings(X.tag, re, im)]
 
 
 def membership(line: ReductionLine) -> bool:
-    """Whether the plane is a point of the variety of reductions."""
-    return all(v.is_zero() for v in membership_values(line.X, line.Y))
+    """Whether the plane is a point of the variety of reductions.
+
+    Stops at the first pairing with a nonzero real or imaginary numerator.
+    """
+    re, im, _ = _wedge_numerators(line.X, line.Y)
+    return not any(a or b for a, b in pi_pairings(line.tag, re, im))
+
+
+def _require_member(line: ReductionLine) -> None:
+    if not membership(line):
+        raise ValueError("line is not a point of the variety of reductions")
 
 
 def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
@@ -102,7 +113,7 @@ def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
     Computed through dual bases for the trace form B on the realized
     operators; the result vanishes exactly when span{X, Y} is a member.
     """
-    return pi_of_wedge(X.tag, wedge_of(X, Y))
+    return _pi_of_numerators(X.tag, *_wedge_numerators(X, Y))
 
 
 # -- the wedge square and the kernel of the projection ----------------------------
@@ -137,17 +148,21 @@ def pi_table(tag: AlgebraTag):
     return tuple(table)
 
 
-def pi_pairings(tag: AlgebraTag, w) -> List[GaussRational]:
-    """The linear forms F_k of the pi table applied to a wedge tensor w."""
-    out = []
+def pi_pairings(tag: AlgebraTag, re, im):
+    """The linear forms F_k of the pi table on a wedge tensor, as integer sums.
+
+    The tensor is given by integer numerators re + i im over a common
+    denominator d; for each so3(A) basis operator this yields the pair
+    (real, imaginary) of numerators of F_k over the same d.  The pairs are
+    produced lazily, so a caller testing for zero can stop at the first
+    nonzero one.
+    """
     for terms in pi_table(tag):
-        s = GR_ZERO
-        for i, _, _, c in terms:
-            v = w[i]
-            if v:
-                s = s + v * c
-        out.append(s)
-    return out
+        a = b = 0
+        for w, _, _, c in terms:
+            a += c * re[w]
+            b += c * im[w]
+        yield a, b
 
 
 @lru_cache(maxsize=None)
@@ -174,24 +189,36 @@ def ker_pi_basis(tag: AlgebraTag):
                                              len(wedge_pairs(tag))))
 
 
-def wedge_of(X: JordanMatrix, Y: JordanMatrix):
-    """Coordinates of X wedge Y over the wedge pairs of the J0 basis."""
+def _wedge_numerators(X: JordanMatrix, Y: JordanMatrix):
+    """(re, im, d): X wedge Y is (re + i im)/d over the wedge pairs, d = dx dy."""
     xr, xi, dx = j0_numerators(X)
     yr, yi, dy = j0_numerators(Y)
-    d = dx * dy
-    out = []
+    re, im = [], []
     for r, s in wedge_pairs(X.tag):
-        # x_r y_s - x_s y_r on the numerators, over dx dy
+        # x_r y_s - x_s y_r on the numerators
         a, b, c, e = xr[r], xi[r], yr[s], yi[s]
         f, g, h, k = xr[s], xi[s], yr[r], yi[r]
-        out.append(GaussRational._make(a * c - b * e - f * h + g * k,
-                                       a * e + b * c - f * k - g * h, d))
-    return tuple(out)
+        re.append(a * c - b * e - f * h + g * k)
+        im.append(a * e + b * c - f * k - g * h)
+    return re, im, dx * dy
 
 
-def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge tensors."""
-    vals = pi_pairings(tag, w)
+def _tensor_numerators(w):
+    """A wedge tensor of Q(i) scalars (GaussRational, Fraction or int) as
+    integer numerators (re, im) over one common denominator d."""
+    vals = [v if isinstance(v, GaussRational) else GaussRational(v) for v in w]
+    d = lcm(*(v.d for v in vals))
+    return ([v.nr * (d // v.d) for v in vals], [v.ni * (d // v.d) for v in vals], d)
+
+
+def wedge_of(X: JordanMatrix, Y: JordanMatrix):
+    """Coordinates of X wedge Y over the wedge pairs of the J0 basis."""
+    re, im, d = _wedge_numerators(X, Y)
+    return tuple(GaussRational._make(a, b, d) for a, b in zip(re, im))
+
+
+def _pi_of_numerators(tag: AlgebraTag, re, im, d) -> LieCombo:
+    vals = [GaussRational._make(a, b, d) for a, b in pi_pairings(tag, re, im)]
     binv = bform_inverse(tag)
     coeffs = []
     for l in range(len(vals)):
@@ -203,8 +230,14 @@ def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
     return LieCombo(tag, coeffs)
 
 
+def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
+    """Extension of the projection to arbitrary wedge tensors."""
+    return _pi_of_numerators(tag, *_tensor_numerators(w))
+
+
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
-    return all(v.is_zero() for v in pi_pairings(tag, w))
+    re, im, _ = _tensor_numerators(w)
+    return not any(a or b for a, b in pi_pairings(tag, re, im))
 
 
 # -- Pierce decompositions ---------------------------------------------------------
@@ -319,8 +352,31 @@ class SeveriPointReport:
         return sum(p.extension_degree for p in self.points if p.special)
 
 
+def _over_common_denominator(numerators):
+    """Coefficient pairs of sum_i A_i t^i, coordinate by coordinate.
+
+    `numerators` lists (re, im, d) for A_0, A_1, ...; each coordinate comes
+    back as the tuple (re_0, im_0, re_1, im_1, ...) of integer numerators over
+    the lcm D of the d's.  Writing every coefficient over the same D scales the
+    whole polynomial vector by D, which changes no zero, no proportionality
+    and no divisibility.
+    """
+    den = lcm(*(d for _, _, d in numerators))
+    scaled = []
+    for re, im, d in numerators:
+        f = den // d
+        scaled.append([a * f for a in re])
+        scaled.append([b * f for b in im])
+    return list(zip(*scaled))
+
+
 def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
-    """Coordinate polynomials of M(t) = X + tY and N(t) = M^2 - (Q/3) I."""
+    """Coordinate polynomials of M(t) = X + tY and N(t) = M^2 - (Q/3) I.
+
+    M and N are each written over one common denominator (see
+    `_over_common_denominator`); the Jordan squares (X o X, 2 X o Y, Y o Y)
+    of M(t)^2 come along for squareness checks.
+    """
     tag = X.tag
     xx, xy, yy = jordan_mul(X, X), jordan_mul(X, Y), jordan_mul(Y, Y)
     q0, q1, q2 = inner(X, X), inner(X, Y), inner(Y, Y)
@@ -329,16 +385,65 @@ def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
     n1 = (xy - ident.scale(q1 * THIRD)).scale(2)
     n2 = yy - ident.scale(q2 * THIRD)
     # J0 coordinates are only defined for traceless matrices; N(t) is traceless
-    ncoords = list(zip(j0_coords(n0), j0_coords(n1), j0_coords(n2)))
-    mcoords = list(zip(j0_coords(X), j0_coords(Y)))
-    # full-matrix coordinates of M(t)^2, for squareness checks mod a factor
-    sq = list(zip(_full_coords(xx), _full_coords(xy.scale(2)), _full_coords(yy)))
-    return mcoords, ncoords, sq
+    mc = _over_common_denominator([j0_numerators(X), j0_numerators(Y)])
+    nc = _over_common_denominator([j0_numerators(n) for n in (n0, n1, n2)])
+    return mc, nc, (xx, xy.scale(2), yy)
 
 
-def _full_coords(A: JordanMatrix):
-    d = A.d
-    return [GaussRational._make(r, i, d) for r, i in zip(A.nr, A.ni)]
+def _rank_one_minors(mc, nc):
+    """The nonzero 2x2 minors N_r M_s - N_s M_r as integer coefficient tuples.
+
+    M(t) and N(t) are each written over one common denominator, so every
+    minor is scaled by the same nonzero constant and comes out with Gaussian
+    integer coefficients, (re_0, im_0, ..., re_3, im_3).  Equal minors are
+    kept once, in order of first appearance.
+    """
+    minors = {}
+    for r in range(len(mc)):
+        a0, b0, a1, b1, a2, b2 = nc[r]
+        c0, e0, c1, e1 = mc[r]
+        for s in range(r + 1, len(mc)):
+            f0, g0, f1, g1, f2, g2 = nc[s]
+            h0, k0, h1, k1 = mc[s]
+            # (a + ib)(h + ik) - (f + ig)(c + ie), degree by degree
+            key = (a0 * h0 - b0 * k0 - f0 * c0 + g0 * e0,
+                   a0 * k0 + b0 * h0 - f0 * e0 - g0 * c0,
+                   a0 * h1 - b0 * k1 + a1 * h0 - b1 * k0
+                   - f0 * c1 + g0 * e1 - f1 * c0 + g1 * e0,
+                   a0 * k1 + b0 * h1 + a1 * k0 + b1 * h0
+                   - f0 * e1 - g0 * c1 - f1 * e0 - g1 * c0,
+                   a1 * h1 - b1 * k1 + a2 * h0 - b2 * k0
+                   - f1 * c1 + g1 * e1 - f2 * c0 + g2 * e0,
+                   a1 * k1 + b1 * h1 + a2 * k0 + b2 * h0
+                   - f1 * e1 - g1 * c1 - f2 * e0 - g2 * c0,
+                   a2 * h1 - b2 * k1 - f2 * c1 + g2 * e1,
+                   a2 * k1 + b2 * h1 - f2 * e1 - g2 * c1)
+            if any(key):
+                minors[key] = None
+    return list(minors)
+
+
+def _int_poly(coeffs) -> PolyQi:
+    """The polynomial with Gaussian integer coefficients (re_0, im_0, re_1, ...)."""
+    return PolyQi([GaussRational._make(coeffs[k], coeffs[k + 1], 1)
+                   for k in range(0, len(coeffs), 2)])
+
+
+def _rank_one_gcd(mc, nc) -> Optional[PolyQi]:
+    """The gcd of the rank-one minors, or None when they all vanish.
+
+    Scaling a minor by a nonzero constant leaves the monic gcd, and so its
+    roots and factors, unchanged.
+    """
+    minors = _rank_one_minors(mc, nc)
+    if not minors:
+        return None
+    g = _int_poly(minors[0])
+    for key in minors[1:]:
+        if g.degree == 0:
+            break
+        g = poly_gcd(g, _int_poly(key))
+    return g
 
 
 def _check_rank_one(M: JordanMatrix) -> SeveriClass:
@@ -356,32 +461,25 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
     cubics whose common zeros are the points sought.  Points at parameter
     infinity (mu = 0) are handled by classifying Y directly.
     """
-    if not membership(line):
-        raise ValueError("line is not a point of the variety of reductions")
+    _require_member(line)
+    return _severi_points(line)
+
+
+def _severi_points(line: ReductionLine) -> SeveriPointReport:
+    """severi_points_on_line for a line already known to be a member."""
     X, Y = line.X, line.Y
-    mcoords, ncoords, sq = _pencil_polys(X, Y)
-    n = len(mcoords)
-    minors = []
-    for r in range(n):
-        for s in range(r + 1, n):
-            p = PolyQi(list(ncoords[r])) * PolyQi(list(mcoords[s])) - \
-                PolyQi(list(ncoords[s])) * PolyQi(list(mcoords[r]))
-            if not p.is_zero():
-                minors.append(p)
-    if not minors:
+    mc, nc, sq = _pencil_polys(X, Y)
+    g = _rank_one_gcd(mc, nc)
+    if g is None:
         _check_rank_one(Y)
         return SeveriPointReport(whole_line=True, points=())
-    g = minors[0]
-    for p in minors[1:]:
-        if g.degree == 0:
-            break
-        g = poly_gcd(g, p)
     points = []
     cls_y, _ = classify_severi(Y)
     if cls_y in (SeveriClass.SQUARE_ZERO, SeveriClass.PROJECTED_RANK_ONE):
         points.append(SeveriPoint(special=(cls_y == SeveriClass.SQUARE_ZERO),
                                   param=(GR_ZERO, GR_ONE), matrix=Y))
     if g.degree > 0:
+        squares = None
         for factor, _mult in squarefree_factors(g):
             roots, leftovers = roots_qi(factor)
             for t0 in roots:
@@ -390,7 +488,11 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
                 points.append(SeveriPoint(special=(cls == SeveriClass.SQUARE_ZERO),
                                           param=(GR_ONE, t0), matrix=m))
             for irr in leftovers:
-                special = all(irr.divides(PolyQi(list(c))) for c in sq)
+                if squares is None:
+                    # full-matrix coordinates of M(t)^2, for squareness mod irr
+                    squares = [_int_poly(c) for c in _over_common_denominator(
+                        [(A.nr, A.ni, A.d) for A in sq])]
+                special = all(irr.divides(c) for c in squares)
                 points.append(SeveriPoint(special=special, param=None, matrix=None,
                                           extension_degree=irr.degree))
     return SeveriPointReport(whole_line=False, points=tuple(points))
@@ -418,8 +520,7 @@ def classify_orbit(line: ReductionLine) -> OrbitClass:
     rank-one points: a whole line of them is the closed orbit; otherwise the
     presence of a non-special point distinguishes codimension one from two.
     """
-    if not membership(line):
-        raise ValueError("line is not a point of the variety of reductions")
+    _require_member(line)
     X, Y = line.X, line.Y
     disc_vanishes = discriminant(Y).is_zero()
     if disc_vanishes:
@@ -429,7 +530,7 @@ def classify_orbit(line: ReductionLine) -> OrbitClass:
                 break
     if not disc_vanishes:
         return OrbitClass.OPEN0
-    report = severi_points_on_line(line)
+    report = _severi_points(line)
     if report.whole_line:
         return OrbitClass.CODIM4
     if report.count_general() > 0:
@@ -446,22 +547,36 @@ def tangent_dim(line: ReductionLine) -> int:
     Linearizes the membership pairings in (dX, dY), subtracts the 4 spanning
     reparametrizations; smoothness predicts 3a everywhere.
     """
-    if not membership(line):
-        raise ValueError("line is not a point of the variety of reductions")
-    n = j0_dim(line.tag)
-    xv, yv = j0_coords(line.X), j0_coords(line.Y)
+    _require_member(line)
+    return 2 * j0_dim(line.tag) - rank(_tangent_rows(line.X, line.Y)) - 4
+
+
+def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
+    """The gradients [S_k y ; -S_k x] of x^T S_k y, on integer numerators.
+
+    The dX block (entries from y) is scaled by dy and the dY block (entries
+    from x) by dx.  Scaling a column by a nonzero constant leaves the rank
+    unchanged, so the rows can hold Gaussian integers; each nonzero entry is
+    wrapped as a scalar once, for the elimination.
+    """
+    n = j0_dim(X.tag)
+    xr, xi, _ = j0_numerators(X)
+    yr, yi, _ = j0_numerators(Y)
     rows = []
-    for terms in pi_table(line.tag):
-        # the gradient [S_k y ; -S_k x] of x^T S_k y
-        row = [GR_ZERO] * (2 * n)
+    for terms in pi_table(X.tag):
+        re, im = [0] * (2 * n), [0] * (2 * n)
         for _, r, s, c in terms:
-            row[r] = row[r] + c * yv[s]
-            row[s] = row[s] - c * yv[r]
-            row[n + s] = row[n + s] + c * xv[r]
-            row[n + r] = row[n + r] - c * xv[s]
-        rows.append(row)
-    nullity = 2 * n - rank(rows)
-    return nullity - 4
+            re[r] += c * yr[s]
+            im[r] += c * yi[s]
+            re[s] -= c * yr[r]
+            im[s] -= c * yi[r]
+            re[n + s] += c * xr[r]
+            im[n + s] += c * xi[r]
+            re[n + r] -= c * xr[s]
+            im[n + r] -= c * xi[s]
+        rows.append([GaussRational._make(a, b, 1) if a or b else 0
+                     for a, b in zip(re, im)])
+    return rows
 
 
 # -- cubic forms --------------------------------------------------------------------------

@@ -1,20 +1,34 @@
 """The flat-numerator kernels against per-scalar GaussRational references.
 
 `AlgElement` and `JordanMatrix` compute on integer numerators over one shared
-denominator.  The references below are the per-scalar loops they replace: the
-algebra product from the multiplication table, the cyclic formula for the
-Jordan product, and the determinant from traces of Jordan powers, all in
-GaussRational arithmetic on the coordinate views.
+denominator, and so do the line path of `reductions` (wedge, pi pairings,
+tangent rows, rank-one minors) and the unipotent products of `liealg`.  The
+references below are the per-scalar loops they replace: the algebra product
+from the multiplication table, the cyclic formula for the Jordan product, the
+determinant from traces of Jordan powers, the wedge and pi contraction, the
+tangent rows and the `PolyQi` minors loop on `j0_coords`, and the matrix
+product, nilpotency test and exponential, all in GaussRational arithmetic.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from jordanred.algebra import ALL_TAGS, AlgElement, mult_table, qbilin
-from jordanred.gaussrat import GR_ZERO, GaussRational
+from jordanred import reductions
+from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
+from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
+from jordanred.liealg import (apply_j0_linear, exp_nilpotent, is_nilpotent, j0_basis,
+                              j0_coords, j0_dim, nilpotent_generators, random_unipotent)
+from jordanred.linalg import rank
+from jordanred.polyq import PolyQi, poly_gcd
+from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
+                                  in_ker_pi, membership, membership_values, pi_of_wedge,
+                                  pi_table, project_so3a, representative,
+                                  severi_points_on_line, tangent_dim, wedge_of,
+                                  wedge_pairs)
 from jordanred.sampling import make_rng, random_scalar
 
 HALF = GaussRational(Fraction(1, 2))
@@ -78,6 +92,113 @@ def ref_det(tag, X):
     x3 = as_matrix(ref_jordan_mul(tag, X, x2))
     t1, t2, t3 = (sum(m.c, GR_ZERO) for m in (X, x2, x3))
     return (t1 * t1 * t1 - 3 * t1 * t2 + 2 * t3) / 6
+
+
+def ref_wedge(X, Y):
+    xv, yv = j0_coords(X), j0_coords(Y)
+    return [xv[r] * yv[s] - xv[s] * yv[r] for r, s in wedge_pairs(X.tag)]
+
+
+def ref_pairings(tag, w):
+    """The pi table applied to a wedge tensor, one GaussRational term at a time."""
+    out = []
+    for terms in pi_table(tag):
+        acc = GR_ZERO
+        for i, _, _, c in terms:
+            if w[i]:
+                acc = acc + w[i] * c
+        out.append(acc)
+    return out
+
+
+def ref_tangent_rows(X, Y):
+    n = j0_dim(X.tag)
+    xv, yv = j0_coords(X), j0_coords(Y)
+    rows = []
+    for terms in pi_table(X.tag):
+        row = [GR_ZERO] * (2 * n)
+        for _, r, s, c in terms:
+            row[r] = row[r] + c * yv[s]
+            row[s] = row[s] - c * yv[r]
+            row[n + s] = row[n + s] + c * xv[r]
+            row[n + r] = row[n + r] - c * xv[s]
+        rows.append(row)
+    return rows
+
+
+def ref_minor_gcd(X, Y):
+    """The monic gcd of the PolyQi minors N_r M_s - N_s M_r, None if all vanish."""
+    third = GR_ONE / 3
+    ident = JordanMatrix.identity(X.tag)
+    n0 = jordan_mul(X, X) - ident.scale(inner(X, X) * third)
+    n1 = (jordan_mul(X, Y) - ident.scale(inner(X, Y) * third)).scale(2)
+    n2 = jordan_mul(Y, Y) - ident.scale(inner(Y, Y) * third)
+    nc = list(zip(j0_coords(n0), j0_coords(n1), j0_coords(n2)))
+    mc = list(zip(j0_coords(X), j0_coords(Y)))
+    minors = []
+    for r in range(len(mc)):
+        for s in range(r + 1, len(mc)):
+            p = PolyQi(list(nc[r])) * PolyQi(list(mc[s])) - \
+                PolyQi(list(nc[s])) * PolyQi(list(mc[r]))
+            if not p.is_zero():
+                minors.append(p)
+    if not minors:
+        return None
+    g = minors[0]
+    for p in minors[1:]:
+        g = poly_gcd(g, p)
+    return g.monic()
+
+
+def ref_matrix_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), GR_ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+def ref_identity(n):
+    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+
+
+def _all_zero(mat):
+    return all(not v for row in mat for v in row)
+
+
+def ref_is_nilpotent(mat):
+    p = mat
+    for _ in range(len(mat) + 1):
+        if _all_zero(p):
+            return True
+        p = ref_matrix_mul(p, mat)
+    return False
+
+
+def ref_exp_nilpotent(mat):
+    n = len(mat)
+    out, term, k = ref_identity(n), ref_identity(n), 1
+    while True:
+        term = ref_matrix_mul(term, mat)
+        if _all_zero(term):
+            return out
+        inv = GR_ONE / GaussRational(_factorial(k))
+        out = [[o + t * inv for o, t in zip(orow, trow)] for orow, trow in zip(out, term)]
+        k += 1
+        if k > n + 2:
+            raise ValueError("matrix is not nilpotent")
+
+
+def _factorial(k):
+    return k * _factorial(k - 1) if k > 1 else 1
+
+
+def ref_random_unipotent(tag, rng, factors):
+    gens = nilpotent_generators(tag)
+    g = ref_identity(j0_dim(tag))
+    for _ in range(factors):
+        m = gens[rng.randrange(len(gens))]
+        t = rng.choice((-2, -1, 1, 2))
+        g = ref_matrix_mul(g, ref_exp_nilpotent([[v * t for v in row] for row in m]))
+    return g
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -198,3 +319,114 @@ def test_equal_values_by_different_routes_are_equal_and_hash_alike(tag):
     assert AlgElement.zero(tag) == AlgElement(tag, [Fraction(0, 7)] * tag.dim)
     assert JordanMatrix.identity(tag) == JordanMatrix.diag(tag, 1, 1, 1)
     assert hash(JordanMatrix.identity(tag)) == hash(JordanMatrix.diag(tag, 1, 1, 1))
+
+
+# -- the line path --------------------------------------------------------------------
+
+
+def _fields(mat):
+    return [[(v.nr, v.ni, v.d) for v in row] for row in mat]
+
+
+def _moved_lines(tag, rng, factors, span):
+    """The representative of every orbit, moved by one unipotent automorphism
+    of `factors` factors and respanned by a basis change in [-span, span]."""
+    g = random_unipotent(tag, rng, factors=factors)
+    for orbit in available_orbits(tag):
+        rep = representative(tag, orbit)
+        while True:
+            a, b, c, d = (rng.randint(-span, span) for _ in range(4))
+            if a * d - b * c:
+                break
+        X, Y = (apply_j0_linear(tag, g, M) for M in (rep.X, rep.Y))
+        yield ReductionLine(X, Y).basis_change(a, b, c, d)
+
+
+def _mixed_denominators(line):
+    """The same plane spanned by (X/3 + Y, 2Y/7): X and Y get different denominators."""
+    out = line.basis_change(Fraction(1, 3), 1, 0, Fraction(2, 7))
+    assert out.X.d != out.Y.d
+    return out
+
+
+def _assert_line_path_matches(line):
+    X, Y, tag = line.X, line.Y, line.tag
+    w = ref_wedge(X, Y)
+    assert list(wedge_of(X, Y)) == w
+    pairings = ref_pairings(tag, w)
+    assert membership_values(X, Y) == pairings
+    member = all(v.is_zero() for v in pairings)
+    assert membership(line) == member
+    assert in_ker_pi(tag, w) == member
+    assert in_ker_pi(tag, [v.re for v in w]) == all(v.is_zero() for v in
+                                                   ref_pairings(tag, [GaussRational(v.re)
+                                                                      for v in w]))
+    assert pi_of_wedge(tag, w).coeffs == project_so3a(X, Y).coeffs
+    assert rank(reductions._tangent_rows(X, Y)) == rank(ref_tangent_rows(X, Y))
+    mc, nc, _ = reductions._pencil_polys(X, Y)
+    g = reductions._rank_one_gcd(mc, nc)
+    assert (g if g is None else g.monic()) == ref_minor_gcd(X, Y)
+    return member
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_line_path_matches_the_scalar_references(tag):
+    rng = make_rng(40 + ALL_TAGS.index(tag))
+    for line in _moved_lines(tag, rng, factors=2, span=2):
+        for each in (line, _mixed_denominators(line)):
+            assert _assert_line_path_matches(each)
+            assert tangent_dim(each) == 3 * tag.dim
+
+
+@pytest.mark.parametrize("factors, span", ((2, 2), (8, 99)), ids=("orbit_stream", "tall"))
+def test_line_path_at_benchmark_heights(factors, span):
+    """The octonion lines of both benchmark line workloads, heights ~1e2 and ~1e6."""
+    rng = make_rng(50 + factors)
+    heights = []
+    for line in _moved_lines(ALG_O, rng, factors, span):
+        assert _assert_line_path_matches(line)
+        heights.append(max(abs(v) for M in (line.X, line.Y) for v in M.nr + M.ni + (M.d,)))
+    assert max(heights) > (10 ** 4 if span > 2 else 10)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_a_purely_imaginary_pairing_is_not_a_member(tag):
+    """X = e_r real and Y = i e_s for a wedge pair (r, s) that exactly one
+    pi form sees: the only nonzero pairing has real part 0."""
+    counts = {}
+    for terms in pi_table(tag):
+        for _, r, s, _ in terms:
+            counts[(r, s)] = counts.get((r, s), 0) + 1
+    pairs = [p for p, k in counts.items() if k == 1]
+    basis = j0_basis(tag)
+    for r, s in pairs[:: max(1, len(pairs) // 4)]:
+        line = ReductionLine(basis[r], basis[s].scale(GR_I))
+        for each in (line, _mixed_denominators(line)):
+            vals = membership_values(each.X, each.Y)
+            nonzero = [v for v in vals if not v.is_zero()]
+            assert len(nonzero) == 1 and nonzero[0].nr == 0
+            assert not _assert_line_path_matches(each)
+            for entry in (classify_orbit, severi_points_on_line, tangent_dim):
+                with pytest.raises(ValueError):
+                    entry(each)
+
+
+# -- unipotent products ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_unipotent_products_match_the_scalar_loops(tag):
+    gens = nilpotent_generators(tag)
+    for m in gens:
+        assert is_nilpotent(m) and ref_is_nilpotent(m)
+        half = [[v * Fraction(1, 2) for v in row] for row in m]
+        assert _fields(exp_nilpotent(half)) == _fields(ref_exp_nilpotent(half))
+    ident = ref_identity(len(gens[0]))
+    not_nilpotent = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(gens[0], ident)]
+    assert not is_nilpotent(not_nilpotent) and not ref_is_nilpotent(not_nilpotent)
+    with pytest.raises(ValueError):
+        exp_nilpotent(not_nilpotent)
+    for factors in (1, 3):
+        seed = 60 + factors
+        got = random_unipotent(tag, random.Random(seed), factors)
+        assert _fields(got) == _fields(ref_random_unipotent(tag, random.Random(seed), factors))

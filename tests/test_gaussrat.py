@@ -13,6 +13,18 @@ def test_construction_and_normalization():
     assert gr(0, 0).is_zero() and not gr(0, 1).is_zero()
 
 
+
+def test_integer_pairs_match_the_fraction_path():
+    """GaussRational(int, int) skips Fraction; the fields must not differ."""
+    pairs = [(0, 0), (0, -1), (-7, 0), (-3, -4), (5, 2), (10 ** 30, -(10 ** 29)),
+             (True, False), (False, True), (True, -2), (3, True)]
+    for re, im in pairs:
+        fast = GaussRational(re, im)
+        slow = GaussRational(Fraction(re), Fraction(im))
+        assert (fast.nr, fast.ni, fast.d) == (slow.nr, slow.ni, slow.d)
+        assert all(type(v) is int for v in (fast.nr, fast.ni, fast.d))
+    assert GaussRational(-4) == GaussRational(Fraction(-4), Fraction(0))
+
 def test_field_axioms_random():
     rng = random.Random(0)
     for _ in range(200):

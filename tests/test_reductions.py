@@ -323,6 +323,19 @@ def test_severi_points_raise_when_a_point_is_off_the_locus(orbit, monkeypatch):
         severi_points_on_line(representative(ALG_C, orbit))
 
 
+@pytest.mark.parametrize("orbit", (OrbitClass.CODIM1, OrbitClass.CODIM4), ids=lambda o: o.value)
+def test_each_entry_point_checks_membership_once(orbit, monkeypatch):
+    """classify_orbit reaches the rank-one points without a second check."""
+    calls = []
+    real = reductions.membership
+    monkeypatch.setattr(reductions, "membership", lambda line: calls.append(1) or real(line))
+    line = representative(ALG_H, orbit)
+    for entry in (classify_orbit, severi_points_on_line, tangent_dim):
+        calls.clear()
+        entry(line)
+        assert len(calls) == 1, entry.__name__
+
+
 def square_line(x):
     """span{X, X o X - (Q/3) I}: a member for every traceless X.
 
