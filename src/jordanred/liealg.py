@@ -547,13 +547,11 @@ def _numerator_mul(ar, ai, br, bi):
     outr, outi = [], []
     for xr, xi in zip(ar, ai):
         sr, si = [0] * n, [0] * n
-        for k, (p, q) in enumerate(zip(xr, xi)):
+        for p, q, yr, yi in zip(xr, xi, br, bi):
             if p:
-                yr, yi = br[k], bi[k]
                 sr = [s + p * y for s, y in zip(sr, yr)]
                 si = [s + p * y for s, y in zip(si, yi)]
             if q:
-                yr, yi = br[k], bi[k]
                 sr = [s - q * y for s, y in zip(sr, yi)]
                 si = [s + q * y for s, y in zip(si, yr)]
         outr.append(sr)

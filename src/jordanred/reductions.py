@@ -113,7 +113,7 @@ def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
     Computed through dual bases for the trace form B on the realized
     operators; the result vanishes exactly when span{X, Y} is a member.
     """
-    return _pi_of_numerators(X.tag, *_wedge_numerators(X, Y))
+    return pi_of_wedge(X.tag, wedge_of(X, Y))
 
 
 # -- the wedge square and the kernel of the projection ----------------------------
@@ -217,7 +217,9 @@ def wedge_of(X: JordanMatrix, Y: JordanMatrix):
     return tuple(GaussRational._make(a, b, d) for a, b in zip(re, im))
 
 
-def _pi_of_numerators(tag: AlgebraTag, re, im, d) -> LieCombo:
+def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
+    """Extension of the projection to arbitrary wedge tensors."""
+    re, im, d = _tensor_numerators(w)
     vals = [GaussRational._make(a, b, d) for a, b in pi_pairings(tag, re, im)]
     binv = bform_inverse(tag)
     coeffs = []
@@ -228,11 +230,6 @@ def _pi_of_numerators(tag: AlgebraTag, re, im, d) -> LieCombo:
                 s = s + v * binv[l][i]
         coeffs.append(s)
     return LieCombo(tag, coeffs)
-
-
-def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge tensors."""
-    return _pi_of_numerators(tag, *_tensor_numerators(w))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
