@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
-from .gaussrat import GaussRational
+from .gaussrat import GaussRational, bilinear, from_numerators, normalize, to_numerators
 
 
 @dataclass(frozen=True)
@@ -158,17 +157,6 @@ def mul_numerators(dim: int, xr, xi, yr, yi):
     return outr, outi
 
 
-def _normalize(nr, ni, d: int):
-    """(nr, ni, d) as tuples with d > 0 and gcd(d, *nr, *ni) = 1."""
-    if d < 0:
-        nr, ni, d = [-v for v in nr], [-v for v in ni], -d
-    if d != 1:
-        g = gcd(d, *nr, *ni)
-        if g != 1:
-            nr, ni, d = [v // g for v in nr], [v // g for v in ni], d // g
-    return tuple(nr), tuple(ni), d
-
-
 class FlatVector:
     """A flat Q(i) vector over an algebra: numerators nr, ni over d, normalised.
 
@@ -181,7 +169,7 @@ class FlatVector:
     @classmethod
     def _make(cls, tag: AlgebraTag, nr, ni, d: int):
         """The vector with numerators nr, ni over d, normalised here."""
-        return cls._raw(tag, *_normalize(nr, ni, d))
+        return cls._raw(tag, *normalize(nr, ni, d))
 
     @classmethod
     def _raw(cls, tag: AlgebraTag, nr, ni, d: int):
@@ -249,23 +237,15 @@ class AlgElement(FlatVector):
     __slots__ = ()
 
     def __init__(self, tag: AlgebraTag, coords):
-        coords = [c if isinstance(c, GaussRational) else GaussRational(c)
-                  for c in coords]
-        if len(coords) != tag.dim:
-            raise ValueError("expected %d coordinates, got %d" % (tag.dim, len(coords)))
-        # each scalar is normalised, so the vector over the lcm of their
-        # denominators is normalised too
-        d = lcm(*(c.d for c in coords))
-        self.tag = tag
-        self.nr = tuple(c.nr * (d // c.d) for c in coords)
-        self.ni = tuple(c.ni * (d // c.d) for c in coords)
-        self.d = d
+        nr, ni, d = to_numerators(coords)
+        if len(nr) != tag.dim:
+            raise ValueError("expected %d coordinates, got %d" % (tag.dim, len(nr)))
+        self.tag, self.nr, self.ni, self.d = tag, nr, ni, d
 
     @property
     def coords(self):
         """The coordinates as a tuple of GaussRational scalars (a view)."""
-        d = self.d
-        return tuple(GaussRational._make(r, i, d) for r, i in zip(self.nr, self.ni))
+        return tuple(from_numerators(self.nr, self.ni, self.d))
 
     # -- constructors ---------------------------------------------------
 
@@ -335,10 +315,7 @@ def qbilin(x: AlgElement, y: AlgElement) -> GaussRational:
     """The complex-bilinear scalar product: sum of coordinate products."""
     if x.tag != y.tag:
         raise ValueError("algebra mismatch: %s vs %s" % (x.tag, y.tag))
-    xr, xi, yr, yi = x.nr, x.ni, y.nr, y.ni
-    return GaussRational._make(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
-                               sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)),
-                               x.d * y.d)
+    return GaussRational._make(*bilinear(x.nr, x.ni, y.nr, y.ni), x.d * y.d)
 
 
 def qform(x: AlgElement) -> GaussRational:

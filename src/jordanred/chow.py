@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Tuple
+from typing import Tuple
 
 
 class BidegreePoly:
@@ -204,9 +204,6 @@ class BettiTable:
 
     def is_symmetric(self) -> bool:
         return self.numbers == tuple(reversed(self.numbers))
-
-    def as_dict(self) -> Dict[int, int]:
-        return {2 * p: b for p, b in enumerate(self.numbers)}
 
 
 def severi_betti(a: int, p: int) -> int:

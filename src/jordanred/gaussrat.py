@@ -3,10 +3,18 @@
 Every number in this package lives in Q(i).  A scalar is stored as a
 normalized integer triple (nr, ni, d) meaning (nr + ni*i)/d with d > 0 and
 gcd(nr, ni, d) = 1.  Vectors do not hold one such object per coordinate:
-`AlgElement` and `JordanMatrix` keep the same layout for a whole vector,
-a tuple of real numerators, a tuple of imaginary numerators and one shared
-denominator d > 0 with the gcd of d and all numerators equal to 1, and build
-scalars of this type only for results and read-only views.
+they keep the same layout for a whole vector, a sequence of real numerators,
+a sequence of imaginary numerators and one shared denominator d > 0 with the
+gcd of d and all numerators equal to 1, and build scalars of this type only
+for results and read-only views.
+
+This module is the one place that knows that layout.  `to_numerators` puts
+scalars (and vectors) over their least common denominator, `from_numerators`
+reads the scalars back and `normalize` restores the gcd condition; `mat_vec`
+applies a Gaussian integer matrix to a vector and `bilinear` sums products
+of coordinates, both on the numerators.  `AlgElement`, `JordanMatrix`, J0
+coordinates, wedge tensors and matrices over Q(i) enter the layout through
+`to_numerators` and leave it as scalars through `from_numerators`.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.
@@ -16,22 +24,25 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(obj) -> Fraction:
-    """A JSON int or a string fully matching -?digits(/digits)?, as a Fraction."""
+def _parse_rational(obj):
+    """A JSON int or a string fully matching -?digits(/digits)?, as integers (p, q)."""
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return Fraction(obj)
-    if isinstance(obj, str) and _RATIONAL.fullmatch(obj):
-        try:
-            return Fraction(obj)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % obj) from None
-    raise ValueError("not a Q(i) scalar encoding: %r" % (obj,))
+        return obj, 1
+    match = _RATIONAL.fullmatch(obj) if isinstance(obj, str) else None
+    if match is None:
+        raise ValueError("not a Q(i) scalar encoding: %r" % (obj,))
+    p, q = match.groups()
+    q = 1 if q is None else int(q)
+    if q == 0:
+        raise ValueError("zero denominator in %r" % obj)
+    return int(p), q
 
 
 def _fraction_sqrt(x: Fraction):
@@ -265,8 +276,10 @@ class GaussRational:
         ValueError; the pattern is matched before any number is built.
         """
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return cls(_parse_rational(obj[0]), _parse_rational(obj[1]))
-        return cls(_parse_rational(obj))
+            (pr, qr), (pi, qi) = _parse_rational(obj[0]), _parse_rational(obj[1])
+            return cls._make(pr * qi, pi * qr, qr * qi)
+        p, q = _parse_rational(obj)
+        return cls._make(p, 0, q)
 
 
 GR_ZERO = GaussRational(0)
@@ -277,3 +290,63 @@ GR_I = GaussRational(0, 1)
 def gr(re=0, im=0) -> GaussRational:
     """Shorthand constructor."""
     return GaussRational(re, im)
+
+
+# -- the numerator layout of vectors -------------------------------------------
+
+
+def to_numerators(vals, vectors=()):
+    """Q(i) scalars, then numerator vectors, as one numerator vector.
+
+    `vals` are scalars (GaussRational, Fraction or int) and `vectors` are
+    triples (re, im, d) already in the layout.  Returns (re, im, d): tuples of
+    integer real and imaginary numerators of the scalars followed by the
+    vectors' entries, over the lcm d of all their denominators.  When every
+    input is normalised, so is the result.
+    """
+    vals = [v if isinstance(v, GaussRational) else GaussRational(v) for v in vals]
+    vectors = list(vectors)
+    d = lcm(*(v.d for v in vals), *(w[2] for w in vectors))
+    re = [v.nr * (d // v.d) for v in vals]
+    im = [v.ni * (d // v.d) for v in vals]
+    for wr, wi, wd in vectors:
+        f = d // wd
+        re.extend(a * f for a in wr)
+        im.extend(b * f for b in wi)
+    return tuple(re), tuple(im), d
+
+
+def from_numerators(re, im, d):
+    """The scalars (re[k] + im[k] i)/d, each normalised: a list view of the vector."""
+    return [GaussRational._make(a, b, d) for a, b in zip(re, im)]
+
+
+def normalize(re, im, d: int):
+    """(re, im, d) as tuples with d > 0 and gcd(d, *re, *im) = 1."""
+    if d < 0:
+        re, im, d = [-v for v in re], [-v for v in im], -d
+    if d != 1:
+        g = gcd(d, *re, *im)
+        if g != 1:
+            re, im, d = [v // g for v in re], [v // g for v in im], d // g
+    return tuple(re), tuple(im), d
+
+
+def bilinear(xr, xi, yr, yi):
+    """Numerators (real, imaginary) of the complex-bilinear sum of x_k y_k."""
+    return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+
+def mat_vec(m, re, im, d: int, m_im=None):
+    """The matrix m + i m_im applied to the vector (re + i im)/d, normalised.
+
+    m and m_im are integer matrices given by rows (m_im defaults to zero).
+    A matrix over a denominator e is applied by passing d e as d.
+    """
+    out_re = [sum(map(mul, row, re)) for row in m]
+    out_im = [sum(map(mul, row, im)) for row in m]
+    if m_im is not None:
+        out_re = [a - sum(map(mul, row, im)) for a, row in zip(out_re, m_im)]
+        out_im = [b + sum(map(mul, row, re)) for b, row in zip(out_im, m_im)]
+    return normalize(out_re, out_im, d)

@@ -23,13 +23,12 @@ read-only views.
 from __future__ import annotations
 
 from enum import Enum
-from math import lcm
-from operator import mul
 from typing import Optional, Tuple
 
 from .algebra import (AlgebraTag, AlgElement, FlatVector, mul_numerators, qbilin,
                       tag_by_name)
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational
+from .gaussrat import (GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators,
+                       to_numerators)
 
 
 HALF = GaussRational(1, 0) / 2
@@ -46,28 +45,19 @@ class JordanMatrix(FlatVector):
     __slots__ = ()
 
     def __init__(self, tag: AlgebraTag, c, x):
-        c = [v if isinstance(v, GaussRational) else GaussRational(v) for v in c]
-        x = tuple(x)
+        c, x = tuple(c), tuple(x)
         if len(c) != 3 or len(x) != 3:
             raise ValueError("need 3 diagonal scalars and 3 off-diagonal entries")
         for e in x:
             if e.tag != tag:
                 raise ValueError("off-diagonal entry from the wrong algebra")
-        # each part is normalised, so the vector over the lcm is normalised too
-        d = lcm(*(v.d for v in c), *(e.d for e in x))
-        nr = [v.nr * (d // v.d) for v in c]
-        ni = [v.ni * (d // v.d) for v in c]
-        for e in x:
-            f = d // e.d
-            nr.extend(v * f for v in e.nr)
-            ni.extend(v * f for v in e.ni)
-        self.tag, self.nr, self.ni, self.d = tag, tuple(nr), tuple(ni), d
+        self.tag = tag
+        self.nr, self.ni, self.d = to_numerators(c, ((e.nr, e.ni, e.d) for e in x))
 
     @property
     def c(self) -> Tuple[GaussRational, GaussRational, GaussRational]:
         """The diagonal scalars (a view)."""
-        nr, ni, d = self.nr, self.ni, self.d
-        return tuple(GaussRational._make(nr[k], ni[k], d) for k in range(3))
+        return tuple(from_numerators(self.nr[:3], self.ni[:3], self.d))
 
     @property
     def x(self) -> Tuple[AlgElement, AlgElement, AlgElement]:
@@ -152,12 +142,6 @@ class JordanMatrix(FlatVector):
         return cls(tag, c, x)
 
 
-def _bilinear(xr, xi, yr, yi):
-    """Numerators (real, imaginary) of the complex-bilinear sum of x_k y_k."""
-    return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
-            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
-
-
 def jordan_mul(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     """The symmetrized product (AB + BA)/2, entrywise.
 
@@ -174,7 +158,7 @@ def jordan_mul(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     slots = _slots(a)
     x = [(ar[lo:lo + a], ai[lo:lo + a]) for lo in slots]
     y = [(br[lo:lo + a], bi[lo:lo + a]) for lo in slots]
-    q = [_bilinear(*x[m], *y[m]) for m in range(3)]
+    q = [bilinear(*x[m], *y[m]) for m in range(3)]
     nr, ni = [], []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -220,8 +204,8 @@ def inner(A: JordanMatrix, B: JordanMatrix) -> GaussRational:
     """
     A._check(B)
     ar, ai, br, bi = A.nr, A.ni, B.nr, B.ni
-    allr, alli = _bilinear(ar, ai, br, bi)
-    offr, offi = _bilinear(ar[3:], ai[3:], br[3:], bi[3:])
+    allr, alli = bilinear(ar, ai, br, bi)
+    offr, offi = bilinear(ar[3:], ai[3:], br[3:], bi[3:])
     return GaussRational._make(allr + offr, alli + offi, A.d * B.d)
 
 
@@ -245,13 +229,13 @@ def det(X: JordanMatrix) -> GaussRational:
     pr, pi = nr[0] * nr[1] - ni[0] * ni[1], nr[0] * ni[1] + ni[0] * nr[1]
     sr, si = pr * nr[2] - pi * ni[2], pr * ni[2] + pi * nr[2]
     for k in range(3):
-        qr, qi = _bilinear(*x[k], *x[k])
+        qr, qi = bilinear(*x[k], *x[k])
         sr -= nr[k] * qr - ni[k] * qi
         si -= nr[k] * qi + ni[k] * qr
     # Re(p y) = p_0 y_0 - sum_{k >= 1} p_k y_k for p = x_1 x_2 and y = x_3
     pr, pi = mul_numerators(a, *x[0], *x[1])
     yr, yi = x[2]
-    tr, ti = _bilinear(pr[1:], pi[1:], yr[1:], yi[1:])
+    tr, ti = bilinear(pr[1:], pi[1:], yr[1:], yi[1:])
     sr += 2 * (pr[0] * yr[0] - pi[0] * yi[0] - tr)
     si += 2 * (pr[0] * yi[0] + pi[0] * yr[0] - ti)
     return GaussRational._make(sr, si, X.d ** 3)

@@ -15,11 +15,11 @@ Basis of J0 (dimension 3a + 2):
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, gcd, lcm
-from operator import mul
+from math import factorial
 
 from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
-from .gaussrat import GR_ZERO, GaussRational
+from .gaussrat import (GR_ZERO, GaussRational, from_numerators, mat_vec, normalize,
+                       to_numerators)
 from .jordan import JordanMatrix, inner
 from .linalg import RowSpan, invert, nullspace, rank
 
@@ -52,19 +52,21 @@ def j0_numerators(X: JordanMatrix):
     return (nr[0], -nr[2]) + nr[3:], (ni[0], -ni[2]) + ni[3:], X.d
 
 
+def j0_from_numerators(tag: AlgebraTag, nr, ni, d) -> JordanMatrix:
+    """The traceless matrix with J0 numerators nr, ni over d (inverts j0_numerators)."""
+    if len(nr) != j0_dim(tag):
+        raise ValueError("expected %d J0 coordinates, got %d" % (j0_dim(tag), len(nr)))
+    return JordanMatrix._make(tag, (nr[0], nr[1] - nr[0], -nr[1]) + tuple(nr[2:]),
+                              (ni[0], ni[1] - ni[0], -ni[1]) + tuple(ni[2:]), d)
+
+
 def j0_coords(X: JordanMatrix):
     """Coordinates of a traceless matrix in the fixed J0 basis."""
-    nr, ni, d = j0_numerators(X)
-    return [GaussRational._make(r, i, d) for r, i in zip(nr, ni)]
+    return from_numerators(*j0_numerators(X))
 
 
 def j0_from_coords(tag: AlgebraTag, vec) -> JordanMatrix:
-    a = tag.dim
-    al, be = vec[0], vec[1]
-    xs = []
-    for slot in range(3):
-        xs.append(AlgElement(tag, vec[2 + slot * a: 2 + (slot + 1) * a]))
-    return JordanMatrix(tag, (al, be - al, -be), tuple(xs))
+    return j0_from_numerators(tag, *to_numerators(vec))
 
 
 @lru_cache(maxsize=None)
@@ -97,22 +99,9 @@ def _skew_matrix(a: int, p: int, q: int):
     return m
 
 
-def _apply_int_matrix(m, coords):
-    """m (ints) applied to a tuple of GaussRational coordinates."""
-    out = []
-    for row in m:
-        s = GR_ZERO
-        for c, v in zip(row, coords):
-            if c:
-                s = s + v * c
-        out.append(s)
-    return out
-
-
 def apply_skew(tag: AlgebraTag, m, x: AlgElement) -> AlgElement:
     """The integer matrix m applied to the coordinates of x."""
-    return AlgElement._make(tag, [sum(map(mul, row, x.nr)) for row in m],
-                            [sum(map(mul, row, x.ni)) for row in m], x.d)
+    return AlgElement._raw(tag, *mat_vec(m, x.nr, x.ni, x.d))
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +157,8 @@ def triality_basis(tag: AlgebraTag):
     kernel = nullspace(rows, 3 * s)
     triples = []
     for vec in kernel:
-        den = lcm(*(f.denominator for f in vec)) if vec else 1
-        ints = [int(f * den) for f in vec]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
+        # vec is 1 at its free column, so its numerators over the lcm are coprime
+        ints = to_numerators(vec)[0]
         mats = []
         for block in range(3):
             m = [[0] * a for _ in range(a)]
@@ -281,9 +267,6 @@ class So3AOperator:
             o1 = o1 - (x2 * a3).conj()
         return JordanMatrix(tag, (d1, d2, d3), (o1, o2, o3))
 
-    def apply_coords(self, vec):
-        return _apply_int_matrix(self.matrix, vec)
-
     def __repr__(self):
         kind = "t" if self.tmats is not None else "a"
         return "So3AOperator(%s, %s)" % (self.tag, kind)
@@ -307,11 +290,6 @@ def so3a_basis(tag: AlgebraTag):
             kw = {"a%d" % (slot + 1): e}
             ops.append(So3AOperator(tag, **kw))
     return tuple(ops)
-
-
-@lru_cache(maxsize=None)
-def so3a_dim(tag: AlgebraTag) -> int:
-    return len(so3a_basis(tag))
 
 
 def so3a_matrices(tag: AlgebraTag):
@@ -381,17 +359,6 @@ class LieCombo:
                         row[j] = row[j] + c * mi[j]
         return out
 
-    def apply(self, X: JordanMatrix) -> JordanMatrix:
-        ops = so3a_basis(self.tag)
-        out = JordanMatrix.zero(self.tag)
-        for c, op in zip(self.coeffs, ops):
-            if not c.is_zero():
-                out = out + op.apply(X).scale(c)
-        return out
-
-    def __add__(self, other: "LieCombo") -> "LieCombo":
-        return LieCombo(self.tag, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
 
 # -- stabilizers and orbit dimensions -------------------------------------------
 
@@ -405,10 +372,21 @@ def stabilizer_dims(X: JordanMatrix):
     if X.is_zero():
         raise ValueError("zero matrix has no stabilizer data")
     tag = X.tag
-    vec = j0_coords(X)
-    images = [op.apply_coords(vec) for op in so3a_basis(tag)]
+    nr, ni, d = j0_numerators(X)
+    # each image u X, normalised: a nonzero multiple of it, so the rank is kept
+    images = gaussian_integer_rows(mat_vec(op.matrix, nr, ni, d)[:2]
+                                   for op in so3a_basis(tag))
     r = rank(images)
     return len(images) - r, r, j0_dim(tag) - r
+
+
+def gaussian_integer_rows(rows):
+    """Rows given as numerator pairs (re, im), as Gaussian integers for `rank`.
+
+    Each nonzero entry is wrapped as a scalar once; zeros stay the int 0.
+    """
+    return [[GaussRational._make(a, b, 1) if a or b else 0 for a, b in zip(re, im)]
+            for re, im in rows]
 
 
 # -- brackets ---------------------------------------------------------------------
@@ -467,8 +445,10 @@ def right_mult_matrix(z: AlgElement):
 
 
 def _int_matrix(m):
-    return tuple(tuple(int(v.re) if isinstance(v, GaussRational) else int(v)
-                       for v in row) for row in m)
+    """A matrix of GaussRational entries as ints; a non-integral entry raises."""
+    if any(v.d != 1 or v.ni for row in m for v in row):
+        raise ValueError("matrix has an entry that is not an integer")
+    return tuple(tuple(v.nr for v in row) for row in m)
 
 
 def _mat_lin(*terms):
@@ -506,74 +486,42 @@ def standard_derivation(x: AlgElement, y: AlgElement):
     """D_{x,y} = [L_x, L_y] + [L_x, R_y] + [R_x, R_y], a derivation of A."""
     lx, rx = _int_matrix(left_mult_matrix(x)), _int_matrix(right_mult_matrix(x))
     ly, ry = _int_matrix(left_mult_matrix(y)), _int_matrix(right_mult_matrix(y))
-
-    def comm(a, b):
-        n = len(a)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                if a[i][k]:
-                    for j in range(n):
-                        out[i][j] += a[i][k] * b[k][j]
-                if b[i][k]:
-                    for j in range(n):
-                        out[i][j] -= b[i][k] * a[k][j]
-        return out
-
-    return _mat_lin((1, comm(lx, ly)), (1, comm(lx, ry)), (1, comm(rx, ry)))
+    return _mat_lin((1, bracket_matrix(lx, ly)), (1, bracket_matrix(lx, ry)),
+                    (1, bracket_matrix(rx, ry)))
 
 
 # -- unipotent automorphisms (exact exponentials of nilpotent derivations) --------
 #
-# Matrices over Q(i) are multiplied here as Gaussian integer numerator rows
-# (re, im) over one denominator d, and built as GaussRational only at the end.
+# An n x n matrix over Q(i) is multiplied here in the numerator layout of
+# `gaussrat`: flat row-major Gaussian integer numerators (re, im) over one
+# denominator d, and built as GaussRational rows only at the end.
 
 
-def _numerator_matrix(mat):
-    """(re rows, im rows, d) with mat = (re + i im)/d, d the lcm of the entries'."""
-    d = lcm(*(v.d for row in mat for v in row))
-    return ([[v.nr * (d // v.d) for v in row] for row in mat],
-            [[v.ni * (d // v.d) for v in row] for row in mat], d)
+def _rows(flat, n):
+    """The n rows of a flat row-major n x n matrix."""
+    return [flat[k:k + n] for k in range(0, n * n, n)]
 
 
-def _gr_from_numerators(re, im, d):
-    return [[GaussRational._make(a, b, d) for a, b in zip(ra, ia)]
-            for ra, ia in zip(re, im)]
-
-
-def _numerator_mul(ar, ai, br, bi):
-    """The numerators of (ar + i ai)(br + i bi), row by row, skipping zeros."""
-    n = len(br[0])
+def _numerator_mul(n, ar, ai, br, bi):
+    """The numerators of (ar + i ai)(br + i bi), flat n x n, skipping zeros."""
+    brows = list(zip(_rows(br, n), _rows(bi, n)))
     outr, outi = [], []
-    for xr, xi in zip(ar, ai):
+    for xr, xi in zip(_rows(ar, n), _rows(ai, n)):
         sr, si = [0] * n, [0] * n
-        for p, q, yr, yi in zip(xr, xi, br, bi):
+        for p, q, (yr, yi) in zip(xr, xi, brows):
             if p:
                 sr = [s + p * y for s, y in zip(sr, yr)]
                 si = [s + p * y for s, y in zip(si, yi)]
             if q:
                 sr = [s - q * y for s, y in zip(sr, yi)]
                 si = [s + q * y for s, y in zip(si, yr)]
-        outr.append(sr)
-        outi.append(si)
+        outr += sr
+        outi += si
     return outr, outi
 
 
 def _identity_numerators(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)]
-
-
-def _is_zero_matrix(re, im) -> bool:
-    return not any(any(row) for row in re) and not any(any(row) for row in im)
-
-
-def _reduced(re, im, d):
-    """(re, im, d) divided by the gcd of d and every numerator."""
-    g = gcd(d, *(v for row in re for v in row), *(v for row in im for v in row))
-    if g == 1:
-        return re, im, d
-    return ([[v // g for v in row] for row in re], [[v // g for v in row] for row in im],
-            d // g)
+    return [int(i == j) for i in range(n) for j in range(n)], [0] * (n * n)
 
 
 def is_nilpotent(mat, maxpow=None):
@@ -582,46 +530,44 @@ def is_nilpotent(mat, maxpow=None):
     Vanishing does not depend on the denominator, so the powers are taken of
     the integer numerators alone.
     """
-    maxpow = maxpow or len(mat) + 1
-    re, im, _ = _numerator_matrix(mat)
+    n = len(mat)
+    maxpow = maxpow or n + 1
+    re, im, _ = to_numerators(_flatten(mat))
     pr, pi = re, im
     for _ in range(maxpow):
-        if _is_zero_matrix(pr, pi):
+        if not any(pr) and not any(pi):
             return True
-        pr, pi = _numerator_mul(pr, pi, re, im)
+        pr, pi = _numerator_mul(n, pr, pi, re, im)
     return False
 
 
-def _exp_numerators(re, im, d):
-    """Numerators of exp(A/d) for a nilpotent Gaussian integer matrix A.
+def _exp_numerators(n, re, im, d):
+    """Numerators of exp(A/d) for a nilpotent Gaussian integer n x n matrix A.
 
     With A^m the last nonzero power, exp(A/d) = sum_k A^k d^(m-k) (m!/k!)
     over the one denominator d^m m!.
     """
-    n = len(re)
     powers = [_identity_numerators(n)]
     while True:
-        pr, pi = _numerator_mul(*powers[-1], re, im)
-        if _is_zero_matrix(pr, pi):
+        pr, pi = _numerator_mul(n, *powers[-1], re, im)
+        if not any(pr) and not any(pi):
             break
         if len(powers) == n + 2:
             raise ValueError("matrix is not nilpotent")
         powers.append((pr, pi))
     m = len(powers) - 1
-    outr = [[0] * n for _ in range(n)]
-    outi = [[0] * n for _ in range(n)]
+    outr, outi = [0] * (n * n), [0] * (n * n)
     for k, (pr, pi) in enumerate(powers):
         f = d ** (m - k) * (factorial(m) // factorial(k))
-        for orow, oirow, prow, pirow in zip(outr, outi, pr, pi):
-            for j in range(n):
-                orow[j] += f * prow[j]
-                oirow[j] += f * pirow[j]
-    return _reduced(outr, outi, d ** m * factorial(m))
+        outr = [o + f * v for o, v in zip(outr, pr)]
+        outi = [o + f * v for o, v in zip(outi, pi)]
+    return normalize(outr, outi, d ** m * factorial(m))
 
 
 def exp_nilpotent(mat):
     """Exact exp of a nilpotent GaussRational matrix."""
-    return _gr_from_numerators(*_exp_numerators(*_numerator_matrix(mat)))
+    n = len(mat)
+    return _rows(from_numerators(*_exp_numerators(n, *to_numerators(_flatten(mat)))), n)
 
 
 @lru_cache(maxsize=None)
@@ -670,23 +616,17 @@ def random_unipotent(tag: AlgebraTag, rng, factors: int = 3):
     for _ in range(factors):
         m = gens[rng.randrange(len(gens))]
         t = rng.choice((-2, -1, 1, 2))
-        mr, mi, md = _numerator_matrix(m)
-        er, ei, ed = _exp_numerators([[v * t for v in row] for row in mr],
-                                     [[v * t for v in row] for row in mi], md)
-        g_re, g_im, g_d = _reduced(*_numerator_mul(g_re, g_im, er, ei), g_d * ed)
-    return _gr_from_numerators(g_re, g_im, g_d)
+        mr, mi, md = to_numerators(_flatten(m))
+        er, ei, ed = _exp_numerators(n, [v * t for v in mr], [v * t for v in mi], md)
+        g_re, g_im, g_d = normalize(*_numerator_mul(n, g_re, g_im, er, ei), g_d * ed)
+    return _rows(from_numerators(g_re, g_im, g_d), n)
 
 
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:
     """Apply a linear map given on J0 coordinates to a matrix, fixing I."""
-    t = X.trace()
-    x0 = X - JordanMatrix.identity(tag).scale(t / 3)
-    vec = j0_coords(x0)
-    out = []
-    for row in mat:
-        s = GR_ZERO
-        for c, v in zip(row, vec):
-            if c:
-                s = s + c * v
-        out.append(s)
-    return j0_from_coords(tag, out) + JordanMatrix.identity(tag).scale(t / 3)
+    n = len(mat)
+    mr, mi, md = to_numerators(_flatten(mat))
+    shift = JordanMatrix.identity(tag).scale(X.trace() / 3)
+    xr, xi, xd = j0_numerators(X - shift)
+    image = mat_vec(_rows(mr, n), xr, xi, md * xd, _rows(mi, n))
+    return j0_from_numerators(tag, *image) + shift

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational
+from .gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
 
 
 class PolyQi:
@@ -263,16 +263,10 @@ def _eval_int_poly(coeffs, x: Fraction) -> Fraction:
 
 
 def _clear_denominators(fracs):
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    """The primitive integer vector proportional to a vector of rationals."""
+    ints, _, _ = to_numerators(fracs)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else list(ints)
 
 
 # -- roots over Q(i) -----------------------------------------------------------

@@ -12,20 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import lcm
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraTag, AlgElement
-from .gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
-from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi,
+from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators,
+                       mat_vec, to_numerators)
+from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
-from .liealg import (LieCombo, bform_inverse, j0_coords, j0_dim, j0_gram,
+from .liealg import (LieCombo, bform_inverse, gaussian_integer_rows, j0_dim, j0_gram,
                      j0_numerators, so3a_matrices)
 from .linalg import nullspace, rank
 from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
-
-
-THIRD = GR_ONE / 3
 
 
 class ReductionLine:
@@ -38,7 +35,9 @@ class ReductionLine:
             raise ValueError("algebra mismatch")
         if not (X.is_traceless() and Y.is_traceless()):
             raise ValueError("spanning matrices must be traceless")
-        if X.is_zero() or Y.is_zero() or _proportional(X, Y):
+        # X wedge Y vanishes exactly when X and Y are linearly dependent
+        re, im, _ = _wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y))
+        if not any(re) and not any(im):
             raise ValueError("spanning matrices must be linearly independent")
         self.X = X
         self.Y = Y
@@ -68,28 +67,12 @@ class ReductionLine:
         return cls(X, Y)
 
 
-def _proportional(X: JordanMatrix, Y: JordanMatrix) -> bool:
-    xc, yc = j0_coords(X), j0_coords(Y)
-    lam = None
-    for a, b in zip(xc, yc):
-        if a.is_zero() and b.is_zero():
-            continue
-        if a.is_zero() or b.is_zero():
-            return False
-        r = b / a
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return False
-    return True
-
-
 # -- membership -----------------------------------------------------------------
 
 
 def membership_values(X: JordanMatrix, Y: JordanMatrix) -> List[GaussRational]:
     """The pairing trace(X o (u_k Y)) over the so3(A) basis."""
-    re, im, d = _wedge_numerators(X, Y)
+    re, im, d = _wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y))
     return [GaussRational._make(a, b, d) for a, b in pi_pairings(X.tag, re, im)]
 
 
@@ -98,7 +81,7 @@ def membership(line: ReductionLine) -> bool:
 
     Stops at the first pairing with a nonzero real or imaginary numerator.
     """
-    re, im, _ = _wedge_numerators(line.X, line.Y)
+    re, im, _ = _wedge_numerators(line.tag, j0_numerators(line.X), j0_numerators(line.Y))
     return not any(a or b for a, b in pi_pairings(line.tag, re, im))
 
 
@@ -189,12 +172,16 @@ def ker_pi_basis(tag: AlgebraTag):
                                              len(wedge_pairs(tag))))
 
 
-def _wedge_numerators(X: JordanMatrix, Y: JordanMatrix):
-    """(re, im, d): X wedge Y is (re + i im)/d over the wedge pairs, d = dx dy."""
-    xr, xi, dx = j0_numerators(X)
-    yr, yi, dy = j0_numerators(Y)
+def _wedge_numerators(tag: AlgebraTag, x, y):
+    """(re, im, d): x wedge y over the wedge pairs, for numerator vectors x, y of J0.
+
+    x and y are triples (re, im, d) such as `j0_numerators` gives; the wedge
+    lies over d = dx dy.
+    """
+    xr, xi, dx = x
+    yr, yi, dy = y
     re, im = [], []
-    for r, s in wedge_pairs(X.tag):
+    for r, s in wedge_pairs(tag):
         # x_r y_s - x_s y_r on the numerators
         a, b, c, e = xr[r], xi[r], yr[s], yi[s]
         f, g, h, k = xr[s], xi[s], yr[r], yi[r]
@@ -203,37 +190,26 @@ def _wedge_numerators(X: JordanMatrix, Y: JordanMatrix):
     return re, im, dx * dy
 
 
-def _tensor_numerators(w):
-    """A wedge tensor of Q(i) scalars (GaussRational, Fraction or int) as
-    integer numerators (re, im) over one common denominator d."""
-    vals = [v if isinstance(v, GaussRational) else GaussRational(v) for v in w]
-    d = lcm(*(v.d for v in vals))
-    return ([v.nr * (d // v.d) for v in vals], [v.ni * (d // v.d) for v in vals], d)
-
-
 def wedge_of(X: JordanMatrix, Y: JordanMatrix):
     """Coordinates of X wedge Y over the wedge pairs of the J0 basis."""
-    re, im, d = _wedge_numerators(X, Y)
-    return tuple(GaussRational._make(a, b, d) for a, b in zip(re, im))
+    return tuple(from_numerators(*_wedge_numerators(X.tag, j0_numerators(X),
+                                                    j0_numerators(Y))))
 
 
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
     """Extension of the projection to arbitrary wedge tensors."""
-    re, im, d = _tensor_numerators(w)
-    vals = [GaussRational._make(a, b, d) for a, b in pi_pairings(tag, re, im)]
+    re, im, d = to_numerators(w)
+    vr, vi = zip(*pi_pairings(tag, re, im))
+    # B^-1 as one integer matrix over the denominator bd
     binv = bform_inverse(tag)
-    coeffs = []
-    for l in range(len(vals)):
-        s = GR_ZERO
-        for i, v in enumerate(vals):
-            if not v.is_zero() and binv[l][i]:
-                s = s + v * binv[l][i]
-        coeffs.append(s)
-    return LieCombo(tag, coeffs)
+    n = len(binv)
+    br, _, bd = to_numerators(v for row in binv for v in row)
+    rows = [br[k:k + n] for k in range(0, n * n, n)]
+    return LieCombo(tag, from_numerators(*mat_vec(rows, vr, vi, bd * d)))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
-    re, im, _ = _tensor_numerators(w)
+    re, im, _ = to_numerators(w)
     return not any(a or b for a, b in pi_pairings(tag, re, im))
 
 
@@ -303,20 +279,19 @@ def omega_plucker(triple: PierceTriple):
         raise ValueError("not a Pierce decomposition")
     tag = triple.e1.tag
     ident = JordanMatrix.identity(tag)
-    projected = [e - ident.scale(e.trace() * THIRD) for e in triple.members()]
-    traces = [e.trace() for e in triple.members()]
-    coords = [j0_coords(p) for p in projected]
-    pairs = wedge_pairs(tag)
-    out = [GR_ZERO] * len(pairs)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        t = traces[i]
-        if t.is_zero():
-            continue
-        cj, ck = coords[j], coords[k]
-        for idx, (r, s) in enumerate(pairs):
-            out[idx] = out[idx] + t * (cj[r] * ck[s] - cj[s] * ck[r])
-    return tuple(out)
+    members = triple.members()
+    coords = [j0_numerators(e - ident.scale(e.trace() * THIRD)) for e in members]
+    re = im = [0] * len(wedge_pairs(tag))
+    d = 1
+    for i, e in enumerate(members):
+        t = e.trace()
+        wr, wi, wd = _wedge_numerators(tag, coords[(i + 1) % 3], coords[(i + 2) % 3])
+        # re/d + t (wr + i wi)/wd, over d t.d wd
+        f = t.d * wd
+        re = [a * f + d * (t.nr * b - t.ni * c) for a, b, c in zip(re, wr, wi)]
+        im = [a * f + d * (t.nr * c + t.ni * b) for a, b, c in zip(im, wr, wi)]
+        d *= f
+    return tuple(from_numerators(re, im, d))
 
 
 # -- rank-one points on a member line ------------------------------------------------
@@ -358,13 +333,11 @@ def _over_common_denominator(numerators):
     whole polynomial vector by D, which changes no zero, no proportionality
     and no divisibility.
     """
-    den = lcm(*(d for _, _, d in numerators))
-    scaled = []
-    for re, im, d in numerators:
-        f = den // d
-        scaled.append([a * f for a in re])
-        scaled.append([b * f for b in im])
-    return list(zip(*scaled))
+    numerators = list(numerators)
+    n = len(numerators[0][0])
+    re, im, _ = to_numerators((), numerators)
+    return list(zip(*(part for k in range(0, len(re), n)
+                      for part in (re[k:k + n], im[k:k + n]))))
 
 
 def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
@@ -571,24 +544,11 @@ def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
             im[n + s] += c * xi[r]
             re[n + r] -= c * xr[s]
             im[n + r] -= c * xi[s]
-        rows.append([GaussRational._make(a, b, 1) if a or b else 0
-                     for a, b in zip(re, im)])
-    return rows
+        rows.append((re, im))
+    return gaussian_integer_rows(rows)
 
 
 # -- cubic forms --------------------------------------------------------------------------
-
-
-def _gram_apply(tag: AlgebraTag, vec):
-    g = j0_gram(tag)
-    out = []
-    for row in g:
-        s = GR_ZERO
-        for c, v in zip(row, vec):
-            if c:
-                s = s + v * c
-        out.append(s)
-    return out
 
 
 def eval_cubic_theta(tag: AlgebraTag, theta, X: JordanMatrix) -> GaussRational:
@@ -597,19 +557,15 @@ def eval_cubic_theta(tag: AlgebraTag, theta, X: JordanMatrix) -> GaussRational:
     The wedge pairs against J0 through the invariant form; these cubics cut
     out the projected rank-one locus.
     """
-    if not in_ker_pi(tag, theta):
+    tr, ti, td = to_numerators(theta)
+    if any(a or b for a, b in pi_pairings(tag, tr, ti)):
         raise ValueError("theta is not in the kernel of the projection")
     q = inner(X, X)
     c = jordan_mul(X, X) - JordanMatrix.identity(tag).scale(q * THIRD)
-    gx = _gram_apply(tag, j0_coords(X))
-    gc = _gram_apply(tag, j0_coords(c))
-    out = GR_ZERO
-    for coeff, (r, s) in zip(theta, wedge_pairs(tag)):
-        cc = coeff if isinstance(coeff, GaussRational) else GaussRational(coeff)
-        if cc.is_zero():
-            continue
-        out = out + cc * (gx[r] * gc[s] - gx[s] * gc[r])
-    return out
+    g = j0_gram(tag)
+    wr, wi, wd = _wedge_numerators(tag, mat_vec(g, *j0_numerators(X)),
+                                   mat_vec(g, *j0_numerators(c)))
+    return GaussRational._make(*bilinear(tr, ti, wr, wi), td * wd)
 
 
 def eval_cubic_ab(A: JordanMatrix, B: JordanMatrix, X: JordanMatrix) -> GaussRational:

@@ -11,7 +11,7 @@ import random
 
 from .algebra import AlgebraTag, AlgElement, qbilin
 from .gaussrat import GR_I, GR_ONE, GaussRational
-from .jordan import JordanMatrix, rank_one_from_chart
+from .jordan import THIRD, JordanMatrix, rank_one_from_chart
 from .reductions import ReductionLine, pierce_from_roots
 
 DEFAULT_SEED = 20570
@@ -27,11 +27,6 @@ def random_scalar(rng: random.Random, span: int = 2) -> GaussRational:
 
 def random_element(tag: AlgebraTag, rng: random.Random, span: int = 2) -> AlgElement:
     return AlgElement(tag, [random_scalar(rng, span) for _ in range(tag.dim)])
-
-
-def random_imaginary(tag: AlgebraTag, rng: random.Random) -> AlgElement:
-    coords = [GaussRational(0)] + [random_scalar(rng) for _ in range(tag.dim - 1)]
-    return AlgElement(tag, coords)
 
 
 def random_jordan(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
@@ -109,6 +104,6 @@ def random_member_line(tag: AlgebraTag, rng: random.Random) -> ReductionLine:
     """A random member of the variety of reductions, from a Pierce triple."""
     tri = random_pierce_triple(tag, rng)
     ident = JordanMatrix.identity(tag)
-    p1 = tri.e1 - ident.scale(GaussRational(1) / 3)
-    p2 = tri.e2 - ident.scale(GaussRational(1) / 3)
+    p1 = tri.e1 - ident.scale(THIRD)
+    p2 = tri.e2 - ident.scale(THIRD)
     return ReductionLine(p1, p2)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr
+from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
+                                mat_vec, to_numerators)
 
 
 def test_construction_and_normalization():
@@ -96,3 +98,66 @@ def test_json_round_trip():
                 ["1", "1e3"]):
         with pytest.raises(ValueError):
             GaussRational.from_json(bad)
+
+
+def test_from_json_fields_match_the_fraction_path():
+    """The wire integers go straight into a normalised scalar."""
+    rng = random.Random(3)
+    words = ["0", "-0", "007", "-0/5", "6/4", "-10/15", str(10 ** 30) + "/" + str(6 ** 20)]
+    words += ["%d/%d" % (rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(50)]
+    for word in words:
+        for obj in (word, [word, words[len(word) % len(words)]]):
+            got = GaussRational.from_json(obj)
+            parts = obj if isinstance(obj, list) else [obj, "0"]
+            want = GaussRational(Fraction(parts[0]), Fraction(parts[1]))
+            assert (got.nr, got.ni, got.d) == (want.nr, want.ni, want.d)
+
+
+def _assert_normalised(re, im, d):
+    assert type(re) is tuple and type(im) is tuple
+    assert all(type(v) is int for v in re + im + (d,))
+    assert d > 0 and gcd(d, *re, *im) == 1
+
+
+def test_numerator_helpers_round_trip():
+    cases = [
+        [gr(Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6), 7, gr(0, Fraction(2, 9)), -3],
+        [0, Fraction(0), GR_ZERO],
+        [Fraction(1, 6), gr(Fraction(-1, 6), Fraction(1, 6)), Fraction(-1, 6)],
+        [Fraction(2, 4), gr(Fraction(3, 9)), 10 ** 20],
+        [],
+    ]
+    for vals in cases:
+        re, im, d = to_numerators(vals)
+        _assert_normalised(re, im, d)
+        scalars = from_numerators(re, im, d)
+        assert scalars == [v if isinstance(v, GaussRational) else gr(v) for v in vals]
+        assert to_numerators(scalars) == (re, im, d)
+    assert to_numerators([Fraction(2, 4), gr(Fraction(3, 9))]) == ((3, 2), (0, 0), 6)
+    assert to_numerators([0, 0]) == ((0, 0), (0, 0), 1)
+    # vectors already in the layout join the scalars over the lcm
+    assert to_numerators([Fraction(1, 2)], [((1, 0), (0, 1), 3), ((5,), (0,), 10)]) == \
+        ((15, 10, 0, 15), (0, 0, 10, 0), 30)
+
+
+def test_integer_mat_vec_stays_normalised():
+    assert mat_vec([[2, 0], [0, 2]], *to_numerators([Fraction(1, 2), Fraction(1, 4)])) == \
+        ((2, 1), (0, 0), 2)
+    # entries that cancel leave the zero vector over 1
+    assert mat_vec([[1, 1], [3, 3]], *to_numerators([Fraction(1, 3), Fraction(-1, 3)])) == \
+        ((0, 0), (0, 0), 1)
+    # (1 + i) applied to (1 + i)/2 is i; a matrix over 3 passes its denominator in d
+    assert mat_vec([[1]], (1,), (1,), 2, [[1]]) == ((0,), (1,), 1)
+    assert mat_vec([[3]], (1,), (0,), 2 * 3) == ((1,), (0,), 2)
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        vals = [rng.choice((gr(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                               Fraction(rng.randint(-6, 6), rng.randint(1, 6))),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            rng.randint(-3, 3), 0)) for _ in range(n)]
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        image = mat_vec(m, *to_numerators(vals))
+        _assert_normalised(*image)
+        assert from_numerators(*image) == \
+            [sum((c * v for c, v in zip(row, vals)), GR_ZERO) for row in m]

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ZERO, gr
+from jordanred.gaussrat import GR_ZERO, gr, mat_vec
 from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               bform_inverse, bracket_in_span,
                               is_nilpotent, j0_basis, j0_coords, j0_dim,
-                              j0_from_coords, j0_gram, lr_triality_triple,
+                              left_mult_matrix,
+                              j0_from_coords, j0_from_numerators, j0_gram,
+                              j0_numerators, lr_triality_triple,
                               nilpotent_generators, random_unipotent,
                               so3a_basis, so3a_rank, stabilizer_dims,
                               standard_derivation, triality_basis,
@@ -103,8 +105,8 @@ def test_realized_matrix_agrees_with_formulas(tag):
     rng = make_rng()
     for op in so3a_basis(tag)[::4]:
         x = random_traceless(tag, rng)
-        via_mat = op.apply_coords(j0_coords(x))
-        assert j0_from_coords(tag, via_mat) == op.apply(x)
+        via_mat = j0_from_numerators(tag, *mat_vec(op.matrix, *j0_numerators(x)))
+        assert via_mat == op.apply(x)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -221,3 +223,17 @@ def test_j0_coordinates(tag):
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             assert inner(bi, bj) == gr(g[i][j])
+
+
+def test_lr_triple_rejects_non_integral_multiplication_matrices():
+    """A fractional or imaginary coordinate is not dropped from u."""
+    e1, e2 = AlgElement.basis(ALG_H, 1), AlgElement.basis(ALG_H, 2)
+    for u in (e1.scale(Fraction(1, 2)), e1.scale(gr(0, 1))):
+        with pytest.raises(ValueError):
+            lr_triality_triple(u, e2)
+        with pytest.raises(ValueError):
+            standard_derivation(u, e2)
+    assert left_mult_matrix(e1.scale(gr(0, 1)))[1][0] == gr(0, 1)
+    doubled = lr_triality_triple(e1.scale(2), e2)
+    assert triality_identity_holds(ALG_H, doubled)
+    assert doubled != lr_triality_triple(AlgElement.zero(ALG_H), e2)

@@ -1,6 +1,8 @@
 """Source rules that hold for the whole package."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import jordanred
@@ -17,3 +19,19 @@ def test_no_assert_statements_in_the_package():
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(list(SRC.glob("*.py"))) > 10
     assert not found, found
+
+
+def test_every_top_level_definition_is_used():
+    """Each top-level def or class of the package is named somewhere else."""
+    root = SRC.parents[1]
+    words = Counter(word for top in (SRC, root / "tests", root / "perfbench")
+                    for path in sorted(top.rglob("*.py"))
+                    for word in re.findall(r"\w+", path.read_text()))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and words[node.name] < 2):
+                unused.append("%s:%s" % (path.name, node.name))
+    assert (root / "perfbench").is_dir()
+    assert not unused, unused

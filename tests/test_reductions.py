@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -518,3 +519,19 @@ def test_z_representative_shape():
         z = z_representative(tag)
         assert jordan_mul(z, z).is_zero()
         assert classify_severi(z)[0] == SeveriClass.SQUARE_ZERO
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_line_rejects_proportional_pairs_over_different_denominators(tag):
+    lam = gr(Fraction(1, 3), Fraction(2, 3))
+    for orbit in available_orbits(tag):
+        rep = representative(tag, orbit)
+        X = rep.X.scale(Fraction(1, 5)) + rep.Y
+        Y = X.scale(lam)
+        assert X.d != Y.d
+        for pair in ((X, Y), (Y, X)):
+            with pytest.raises(ValueError):
+                ReductionLine(*pair)
+        line = ReductionLine(X, Y + rep.Y.scale(Fraction(2, 7)))
+        assert membership(line)
+        assert classify_orbit(line) == orbit
