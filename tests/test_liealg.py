@@ -218,6 +218,8 @@ def test_j0_coordinates(tag):
     x = random_traceless(tag, rng)
     assert j0_from_coords(tag, j0_coords(x)) == x
     with pytest.raises(ValueError):
+        j0_from_coords(tag, j0_coords(x)[:-1])
+    with pytest.raises(ValueError):
         j0_coords(JordanMatrix.identity(tag))
     g = j0_gram(tag)
     for i, bi in enumerate(basis):

@@ -8,7 +8,7 @@ from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, 
 from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
                               inner, jordan_mul, sigma1, sigma2)
-from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
+from jordanred.liealg import apply_j0_linear, bform_gram, random_unipotent, so3a_basis
 from jordanred.linalg import mat_mul
 from jordanred.reductions import (OrbitClass, ReductionLine,
                                   available_orbits, classify_orbit,
@@ -101,6 +101,10 @@ def test_projection_vanishes_exactly_on_members(tag):
     # projection reproduces the membership pairings through the dual basis
     vals = membership_values(bad.X, bad.Y)
     assert any(not v.is_zero() for v in vals)
+    for x in (bad.X, bad.X.scale(gr(1, 2) / 3)):
+        coeffs = project_so3a(x, bad.Y).coeffs
+        assert [sum((b * c for b, c in zip(row, coeffs)), GR_ZERO)
+                for row in bform_gram(tag)] == membership_values(x, bad.Y)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -478,6 +482,10 @@ def test_cubic_tangent_value(tag):
                          (v.scale(GR_I), v.conj(), u))
         expected = -(gr(2) / 3) * GR_I * u0 * qbilin(u.im_part(), u.im_part())
         assert eval_cubic_theta(tag, theta, x) == expected
+        # linear in theta and cubic in x, over other denominators
+        lam = gr(1, 2) / 3
+        assert eval_cubic_theta(tag, [v / 5 for v in theta], x.scale(lam)) == \
+            expected * lam ** 3 / 5
 
 
 def test_cubic_theta_requires_kernel_element():
