@@ -304,11 +304,18 @@ def to_numerators(vals, vectors=()):
     vectors' entries, over the lcm d of all their denominators.  When every
     input is normalised, so is the result.
     """
-    vals = [v if isinstance(v, GaussRational) else GaussRational(v) for v in vals]
+    vals = list(vals)
     vectors = list(vectors)
-    d = lcm(*(v.d for v in vals), *(w[2] for w in vectors))
-    re = [v.nr * (d // v.d) for v in vals]
-    im = [v.ni * (d // v.d) for v in vals]
+    if all(type(v) is int for v in vals):
+        # integer entries are (v, 0) over 1: no scalar object for each of them
+        d = lcm(*(w[2] for w in vectors))
+        re = [v * d for v in vals] if d != 1 else vals
+        im = [0] * len(vals)
+    else:
+        vals = [v if isinstance(v, GaussRational) else GaussRational(v) for v in vals]
+        d = lcm(*(v.d for v in vals), *(w[2] for w in vectors))
+        re = [v.nr * (d // v.d) for v in vals]
+        im = [v.ni * (d // v.d) for v in vals]
     for wr, wi, wd in vectors:
         f = d // wd
         re.extend(a * f for a in wr)

@@ -21,7 +21,7 @@ from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
 from .gaussrat import (GR_ZERO, GaussRational, from_numerators, mat_vec, normalize,
                        to_numerators)
 from .jordan import JordanMatrix, inner
-from .linalg import RowSpan, invert, nullspace, rank
+from .linalg import RowSpan, invert, nullspace, rank_numerators
 
 
 # -- the basis of J0 -----------------------------------------------------------
@@ -306,24 +306,20 @@ def so3a_rank(tag: AlgebraTag) -> int:
 
 @lru_cache(maxsize=None)
 def bform_gram(tag: AlgebraTag):
-    """B(u, v) = trace of the composed realized operators on J0."""
+    """B(u, v) = trace of the composed realized operators on J0.
+
+    trace(M_i M_j) is summed over the nonzero entries of M_i only, and B is
+    symmetric, so only its upper half is computed.
+    """
     mats = so3a_matrices(tag)
     n = len(mats)
-    g = []
-    for i in range(n):
-        row = []
-        mi = mats[i]
-        for j in range(n):
+    g = [[0] * n for _ in range(n)]
+    for i, mi in enumerate(mats):
+        nonzero = [(r, k, c) for r, row in enumerate(mi) for k, c in enumerate(row) if c]
+        for j in range(i, n):
             mj = mats[j]
-            tr = 0
-            for r in range(len(mi)):
-                mir = mi[r]
-                for k in range(len(mi)):
-                    if mir[k]:
-                        tr += mir[k] * mj[k][r]
-            row.append(tr)
-        g.append(tuple(row))
-    return tuple(g)
+            g[i][j] = g[j][i] = sum(c * mj[k][r] for r, k, c in nonzero)
+    return tuple(tuple(row) for row in g)
 
 
 @lru_cache(maxsize=None)
@@ -373,20 +369,10 @@ def stabilizer_dims(X: JordanMatrix):
         raise ValueError("zero matrix has no stabilizer data")
     tag = X.tag
     nr, ni, d = j0_numerators(X)
-    # each image u X, normalised: a nonzero multiple of it, so the rank is kept
-    images = gaussian_integer_rows(mat_vec(op.matrix, nr, ni, d)[:2]
-                                   for op in so3a_basis(tag))
-    r = rank(images)
-    return len(images) - r, r, j0_dim(tag) - r
-
-
-def gaussian_integer_rows(rows):
-    """Rows given as numerator pairs (re, im), as Gaussian integers for `rank`.
-
-    Each nonzero entry is wrapped as a scalar once; zeros stay the int 0.
-    """
-    return [[GaussRational._make(a, b, 1) if a or b else 0 for a, b in zip(re, im)]
-            for re, im in rows]
+    ops = so3a_basis(tag)
+    # the numerators of each image u X: a nonzero multiple of it, so the rank is kept
+    r = rank_numerators(mat_vec(op.matrix, nr, ni, d)[:2] for op in ops)
+    return len(ops) - r, r, j0_dim(tag) - r
 
 
 # -- brackets ---------------------------------------------------------------------

@@ -19,9 +19,9 @@ from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, from_nume
                        mat_vec, to_numerators)
 from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
-from .liealg import (LieCombo, bform_inverse, gaussian_integer_rows, j0_dim, j0_gram,
-                     j0_numerators, so3a_matrices)
-from .linalg import nullspace, rank
+from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
+                     so3a_matrices)
+from .linalg import nullspace, rank_numerators
 from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
 
 
@@ -35,9 +35,7 @@ class ReductionLine:
             raise ValueError("algebra mismatch")
         if not (X.is_traceless() and Y.is_traceless()):
             raise ValueError("spanning matrices must be traceless")
-        # X wedge Y vanishes exactly when X and Y are linearly dependent
-        re, im, _ = _wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y))
-        if not any(re) and not any(im):
+        if not _independent(j0_numerators(X), j0_numerators(Y)):
             raise ValueError("spanning matrices must be linearly independent")
         self.X = X
         self.Y = Y
@@ -65,6 +63,24 @@ class ReductionLine:
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError("malformed line: %s: %s" % (type(exc).__name__, exc)) from exc
         return cls(X, Y)
+
+
+def _independent(x, y) -> bool:
+    """Whether two numerator vectors of J0 are linearly independent.
+
+    With x_r the first nonzero entry of x, they are dependent exactly when
+    every x_r y_s - x_s y_r vanishes; the test stops at the first that does not.
+    """
+    xr, xi, _ = x
+    yr, yi, _ = y
+    r = next((k for k, (a, b) in enumerate(zip(xr, xi)) if a or b), None)
+    if r is None:
+        return False
+    a, b, c, e = xr[r], xi[r], yr[r], yi[r]
+    for f, g, h, k in zip(xr, xi, yr, yi):
+        if a * h - b * k - f * c + g * e or a * k + b * h - f * e - g * c:
+            return True
+    return False
 
 
 # -- membership -----------------------------------------------------------------
@@ -118,16 +134,23 @@ def pi_table(tag: AlgebraTag):
     c (x_r y_s - x_s y_r) over the terms: a linear form on the wedge square.
     """
     g = j0_gram(tag)
-    n = j0_dim(tag)
+    # the nonzero entries G[r][t] of each column t of G
+    gcols = [[(r, row[t]) for r, row in enumerate(g) if row[t]] for t in range(len(g))]
+    index = {pair: w for w, pair in enumerate(wedge_pairs(tag))}
     table = []
     for m in so3a_matrices(tag):
-        sk = [[sum(g[r][t] * m[t][s] for t in range(n) if g[r][t]) for s in range(n)]
-              for r in range(n)]
-        if any(sk[r][s] != -sk[s][r] for r in range(n) for s in range(r, n)):
+        sk = {}
+        for t, row in enumerate(m):
+            for s, c in enumerate(row):
+                if c:
+                    for r, gc in gcols[t]:
+                        sk[r, s] = sk.get((r, s), 0) + gc * c
+        # skew on the nonzero entries and their mirrors covers every entry
+        if any(sk.get((s, r), 0) != -v for (r, s), v in sk.items()):
             raise ArithmeticError("G M_k is not skew: a realized operator is not "
                                   "orthogonal for the trace form")
-        table.append(tuple((w, r, s, sk[r][s])
-                           for w, (r, s) in enumerate(wedge_pairs(tag)) if sk[r][s]))
+        table.append(tuple(sorted((index[r, s], r, s, v)
+                                  for (r, s), v in sk.items() if r < s and v)))
     return tuple(table)
 
 
@@ -518,7 +541,7 @@ def tangent_dim(line: ReductionLine) -> int:
     reparametrizations; smoothness predicts 3a everywhere.
     """
     _require_member(line)
-    return 2 * j0_dim(line.tag) - rank(_tangent_rows(line.X, line.Y)) - 4
+    return 2 * j0_dim(line.tag) - rank_numerators(_tangent_rows(line.X, line.Y)) - 4
 
 
 def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
@@ -526,8 +549,8 @@ def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
 
     The dX block (entries from y) is scaled by dy and the dY block (entries
     from x) by dx.  Scaling a column by a nonzero constant leaves the rank
-    unchanged, so the rows can hold Gaussian integers; each nonzero entry is
-    wrapped as a scalar once, for the elimination.
+    unchanged, so each row is a pair (re, im) of Gaussian integer numerators,
+    as `linalg.rank_numerators` takes them.
     """
     n = j0_dim(X.tag)
     xr, xi, _ = j0_numerators(X)
@@ -545,7 +568,7 @@ def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
             re[n + r] -= c * xr[s]
             im[n + r] -= c * xi[s]
         rows.append((re, im))
-    return gaussian_integer_rows(rows)
+    return rows
 
 
 # -- cubic forms --------------------------------------------------------------------------

@@ -6,8 +6,10 @@ tangent rows, rank-one minors) and the unipotent products of `liealg`.  The
 references below are the per-scalar loops they replace: the algebra product
 from the multiplication table, the cyclic formula for the Jordan product, the
 determinant from traces of Jordan powers, the wedge and pi contraction, the
-tangent rows and the `PolyQi` minors loop on `j0_coords`, and the matrix
-product, nilpotency test and exponential, all in GaussRational arithmetic.
+tangent rows and the `PolyQi` minors loop on `j0_coords`, the matrix
+product, nilpotency test and exponential, and the Gauss-Jordan elimination
+that `linalg.RowSpan` ran before its rows held integer numerators, all in
+GaussRational arithmetic.
 """
 
 import random
@@ -22,7 +24,7 @@ from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
 from jordanred.liealg import (apply_j0_linear, exp_nilpotent, is_nilpotent, j0_basis,
                               j0_coords, j0_dim, nilpotent_generators, random_unipotent)
-from jordanred.linalg import rank
+from jordanred.linalg import rank_numerators
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
                                   in_ker_pi, membership, membership_values, pi_of_wedge,
@@ -124,6 +126,47 @@ def ref_tangent_rows(X, Y):
             row[n + r] = row[n + r] - c * xv[s]
         rows.append(row)
     return rows
+
+
+def _ref_clear(v, p, prow):
+    """Subtract v[p] * prow from the sparse scalar vector v, over prow's nonzero columns."""
+    f = v[p]
+    for j, x in prow.items():
+        y = v.get(j, GR_ZERO) - f * x
+        if y:
+            v[j] = y
+        else:
+            v.pop(j, None)
+
+
+def ref_rref(rows, ncols=None):
+    """(rows, pivots): the reduced row echelon form, one GaussRational at a time.
+
+    Each vector is reduced by the rows so far; a new row is divided by its
+    pivot and then cleared from every earlier row.
+    """
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else ncols
+    span = {}
+    for vec in rows:
+        v = {j: GaussRational(x) for j, x in enumerate(vec) if x}
+        for p in [p for p in v if p in span]:
+            _ref_clear(v, p, span[p])
+        if not v:
+            continue
+        p = min(v)
+        pv = v[p]
+        row = {j: x / pv for j, x in v.items()}
+        for other in span.values():
+            if p in other:
+                _ref_clear(other, p, row)
+        span[p] = row
+    pivots = sorted(span)
+    return [[span[p].get(j, GR_ZERO) for j in range(ncols)] for p in pivots], pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[1])
 
 
 def ref_minor_gcd(X, Y):
@@ -362,7 +405,7 @@ def _assert_line_path_matches(line):
                                                    ref_pairings(tag, [GaussRational(v.re)
                                                                       for v in w]))
     assert pi_of_wedge(tag, w).coeffs == project_so3a(X, Y).coeffs
-    assert rank(reductions._tangent_rows(X, Y)) == rank(ref_tangent_rows(X, Y))
+    assert rank_numerators(reductions._tangent_rows(X, Y)) == ref_rank(ref_tangent_rows(X, Y))
     mc, nc, _ = reductions._pencil_polys(X, Y)
     g = reductions._rank_one_gcd(mc, nc)
     assert (g if g is None else g.monic()) == ref_minor_gcd(X, Y)

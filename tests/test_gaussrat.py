@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from jordanred import gaussrat
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
                                 mat_vec, to_numerators)
 
@@ -138,6 +139,25 @@ def test_numerator_helpers_round_trip():
     # vectors already in the layout join the scalars over the lcm
     assert to_numerators([Fraction(1, 2)], [((1, 0), (0, 1), 3), ((5,), (0,), 10)]) == \
         ((15, 10, 0, 15), (0, 0, 10, 0), 30)
+
+
+def test_integer_entries_match_the_scalar_path(monkeypatch):
+    """Int entries go in as (v, 0) over 1; the fields equal those of the path
+    that wraps every entry as a scalar first.  Bools take that path."""
+    rng = random.Random(5)
+    ints = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(30)] + [0, -1, 10 ** 40]
+    cases = [ints, [0] * 9, [True, False, True], [Fraction(-4, 6), Fraction(3)],
+             [7, Fraction(1, 3), True, -2, gr(1, Fraction(1, 5)), 0], []]
+    vectors = [(), [((3, -1), (0, 2), 1)], [((1, 0), (0, 1), 6), ((5,), (-5,), 4)]]
+    for vals in cases:
+        for vecs in vectors:
+            got = to_numerators(vals, vecs)
+            _assert_normalised(*got)
+            assert got == to_numerators([gr(v) for v in vals], vecs)
+    assert to_numerators([2, -3], [((1,), (1,), 4)]) == ((8, -12, 1), (0, 0, 1), 4)
+    # an all-int vector builds no scalar object at all
+    monkeypatch.setattr(gaussrat, "GaussRational", None)
+    assert to_numerators(ints) == (tuple(ints), (0,) * len(ints), 1)
 
 
 def test_integer_mat_vec_stays_normalised():

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from jordanred.gaussrat import gr
-from jordanred.linalg import RowSpan, invert, mat_mul, nullspace, rank, rref
+import pytest
+
+from jordanred.gaussrat import GR_ONE, GR_ZERO, gr, to_numerators
+from jordanred.linalg import RowSpan, invert, mat_mul, nullspace, rank, rank_numerators, rref
+from test_flat_kernels import ref_rank, ref_rref
 
 
 def frac_matrix(rows):
@@ -128,3 +132,111 @@ def test_row_span_membership():
     assert not span.add([Fraction(2), Fraction(4), Fraction(0)])
     assert span.add([Fraction(0), Fraction(0), Fraction(1)])
     assert span.dim == 3
+
+
+# -- the numerator kernel against the per-scalar elimination ------------------------------
+
+
+def ref_nullspace(rows, ncols):
+    red, pivots = ref_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [GR_ZERO] * ncols
+        v[fc] = GR_ONE
+        for p, row in zip(pivots, red):
+            v[p] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def ref_invert(rows):
+    n = len(rows)
+    red, pivots = ref_rref([list(r) + [int(i == j) for j in range(n)]
+                            for i, r in enumerate(rows)])
+    if pivots[n - 1] != n - 1:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def tall_scalar(rng, height):
+    """A Q(i) scalar with numerators up to height over a denominator up to 60 (or 1)."""
+    d = rng.choice((1, 1, rng.randint(2, 60)))
+    if rng.random() < 0.2:
+        return gr(0)
+    return gr(Fraction(rng.randint(-height, height), d),
+              Fraction(rng.randint(-height, height), d) if rng.random() < 0.7 else 0)
+
+
+def tall_matrix(rng, n, m):
+    """An n x m Q(i) matrix of height 1e4 to 1e8, of rank below min(n, m) about
+    half of the time, sometimes with a zero row and rows that cancel exactly."""
+    height = 10 ** rng.choice((4, 6, 8))
+    k = rng.randint(0, min(n, m) - 1) if rng.random() < 0.5 else min(n, m)
+    if k == min(n, m):
+        rows = [[tall_scalar(rng, height) for _ in range(m)] for _ in range(n)]
+    else:
+        left = [[tall_scalar(rng, 99) for _ in range(k)] for _ in range(n)]
+        right = [[tall_scalar(rng, height) for _ in range(m)] for _ in range(k)]
+        rows = mat_mul(left, right) if k else [[gr(0)] * m for _ in range(n)]
+    if rng.random() < 0.25:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows.insert(rng.randrange(len(rows) + 1), [gr(0)] * m)
+        rows.append([a - b for a, b in zip(rows[i], rows[j])])
+        rows.append([-a for a in rows[i]])
+    return rows
+
+
+def _assert_primitive_rref(span):
+    for p, (row, d) in span.rows.items():
+        assert row[p] == (d, 0) and d > 0 and min(row) == p
+        assert not any(q in row for q in span.rows if q != p)
+        assert gcd(d, *(x for pair in row.values() for x in pair)) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numerator_row_span_matches_the_scalar_elimination(seed):
+    rng = random.Random(100 + seed)
+    deficient = []
+    for _ in range(30):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        a = tall_matrix(rng, n, m)
+        red, pivots = rref(a)
+        assert (red, pivots) == ref_rref(a)
+        deficient.append(len(pivots) < min(len(a), m))
+        assert nullspace(a) == ref_nullspace(a, m)
+        assert rank(a) == rank_numerators(to_numerators(r)[:2] for r in a) == len(pivots)
+        span, scaled = RowSpan(), RowSpan()
+        for i, row in enumerate(a):
+            grows = ref_rank(a[:i + 1]) > ref_rank(a[:i])
+            assert span.add(row) == grows
+            # the numerator entry point, over any denominator and times any
+            # nonzero Gaussian integer
+            re, im, _ = to_numerators(row)
+            c, e = rng.choice(((1, 0), (0, 1), (-3, 2), (7, 0)))
+            assert scaled.add_numerators([c * x - e * y for x, y in zip(re, im)],
+                                         [c * y + e * x for x, y in zip(re, im)]) == grows
+        assert scaled.rows == span.rows
+        _assert_primitive_rref(span)
+        for v in a + [[tall_scalar(rng, 10 ** 4) for _ in range(m)] for _ in range(3)]:
+            assert span.contains(v) == (ref_rank(a + [v]) == len(pivots))
+    assert 0.3 < sum(deficient) / len(deficient) < 0.7
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_numerator_invert_matches_the_scalar_elimination(seed):
+    rng = random.Random(200 + seed)
+    singular = 0
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        a = tall_matrix(rng, n, n)[:n]
+        try:
+            want = ref_invert(a)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular matrix"):
+                invert(a)
+            continue
+        assert invert(a) == want
+    assert 0 < singular < 20
