@@ -6,15 +6,18 @@ gcd(nr, ni, d) = 1.  Vectors do not hold one such object per coordinate:
 they keep the same layout for a whole vector, a sequence of real numerators,
 a sequence of imaginary numerators and one shared denominator d > 0 with the
 gcd of d and all numerators equal to 1, and build scalars of this type only
-for results and read-only views.
+for results and read-only views.  A matrix is one triple (re rows, im rows,
+d) in the same way: tuples of integer rows over one denominator.
 
 This module is the one place that knows that layout.  `to_numerators` puts
 scalars (and vectors) over their least common denominator, `from_numerators`
 reads the scalars back and `normalize` restores the gcd condition; `mat_vec`
 applies a Gaussian integer matrix to a vector and `bilinear` sums products
-of coordinates, both on the numerators.  `AlgElement`, `JordanMatrix`, J0
-coordinates, wedge tensors and matrices over Q(i) enter the layout through
-`to_numerators` and leave it as scalars through `from_numerators`.
+of coordinates, both on the numerators.  `normalize_matrix` and `mat_mat`
+normalise and multiply matrix triples.  `AlgElement`, `JordanMatrix`, J0
+coordinates and wedge tensors enter the layout through `to_numerators` and
+leave it through `from_numerators`; the unipotent automorphisms, B^-1 and
+realized Lie combinations of `liealg` are matrix triples throughout.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.
@@ -357,3 +360,40 @@ def mat_vec(m, re, im, d: int, m_im=None):
         out_re = [a - sum(map(mul, row, im)) for a, row in zip(out_re, m_im)]
         out_im = [b + sum(map(mul, row, re)) for b, row in zip(out_im, m_im)]
     return normalize(out_re, out_im, d)
+
+
+def normalize_matrix(re, im, d: int):
+    """The matrix (re + i im)/d, given by integer rows and d > 0, as tuples of
+    row tuples with the gcd of d and every numerator equal to 1."""
+    if d != 1:
+        g = gcd(d, *(gcd(*row) for row in re), *(gcd(*row) for row in im))
+        if g != 1:
+            re = [[v // g for v in row] for row in re]
+            im = [[v // g for v in row] for row in im]
+            d //= g
+    return tuple(map(tuple, re)), tuple(map(tuple, im)), d
+
+
+def mat_mat(a, b):
+    """The product of two matrix triples (re rows, im rows, d), normalised.
+
+    Row i of the product sums the rows of b's numerators weighted by the
+    nonzero entries of row i of a's, over the product of the denominators.
+    """
+    ar, ai, ad = a
+    br, bi, bd = b
+    brows = list(zip(br, bi))
+    width = len(br[0])
+    out_re, out_im = [], []
+    for xr, xi in zip(ar, ai):
+        sr, si = [0] * width, [0] * width
+        for p, q, (yr, yi) in zip(xr, xi, brows):
+            if p:
+                sr = [s + p * y for s, y in zip(sr, yr)]
+                si = [s + p * y for s, y in zip(si, yi)]
+            if q:
+                sr = [s - q * y for s, y in zip(sr, yi)]
+                si = [s + q * y for s, y in zip(si, yr)]
+        out_re.append(sr)
+        out_im.append(si)
+    return normalize_matrix(out_re, out_im, ad * bd)

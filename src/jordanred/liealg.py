@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
-from .gaussrat import (GR_ZERO, GaussRational, from_numerators, mat_vec, normalize,
-                       to_numerators)
+from .gaussrat import (GR_ZERO, GaussRational, from_numerators, mat_mat, mat_vec,
+                       normalize_matrix, to_numerators)
 from .jordan import JordanMatrix, inner
 from .linalg import RowSpan, invert, nullspace, rank_numerators
 
@@ -324,7 +325,12 @@ def bform_gram(tag: AlgebraTag):
 
 @lru_cache(maxsize=None)
 def bform_inverse(tag: AlgebraTag):
-    return tuple(tuple(r) for r in invert(bform_gram(tag)))
+    """B^-1 as a matrix triple (re rows, im rows, d)."""
+    inv = invert(bform_gram(tag))
+    n = len(inv)
+    re, im, d = to_numerators(v for row in inv for v in row)
+    return (tuple(re[k:k + n] for k in range(0, n * n, n)),
+            tuple(im[k:k + n] for k in range(0, n * n, n)), d)
 
 
 class LieCombo:
@@ -341,19 +347,17 @@ class LieCombo:
         return all(c.is_zero() for c in self.coeffs)
 
     def realized(self):
-        mats = so3a_matrices(self.tag)
+        """The combination as one matrix triple (re rows, im rows, d) on J0."""
+        cr, ci, d = to_numerators(self.coeffs)
         n = j0_dim(self.tag)
-        out = [[GR_ZERO] * n for _ in range(n)]
-        for c, m in zip(self.coeffs, mats):
-            if c.is_zero():
-                continue
-            for i in range(n):
-                mi = m[i]
-                row = out[i]
-                for j in range(n):
-                    if mi[j]:
-                        row[j] = row[j] + c * mi[j]
-        return out
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for a, b, m in zip(cr, ci, so3a_matrices(self.tag)):
+            if a or b:
+                for i, row in enumerate(m):
+                    re[i] = [x + a * v for x, v in zip(re[i], row)]
+                    im[i] = [y + b * v for y, v in zip(im[i], row)]
+        return normalize_matrix(re, im, d)
 
 
 # -- stabilizers and orbit dimensions -------------------------------------------
@@ -478,141 +482,98 @@ def standard_derivation(x: AlgElement, y: AlgElement):
 
 # -- unipotent automorphisms (exact exponentials of nilpotent derivations) --------
 #
-# An n x n matrix over Q(i) is multiplied here in the numerator layout of
-# `gaussrat`: flat row-major Gaussian integer numerators (re, im) over one
-# denominator d, and built as GaussRational rows only at the end.
+# These matrices are triples (re rows, im rows, d) in the numerator layout of
+# `gaussrat`.  Whether a power vanishes does not depend on d, so the powers
+# are taken of the Gaussian integer numerators alone, over 1.
 
 
-def _rows(flat, n):
-    """The n rows of a flat row-major n x n matrix."""
-    return [flat[k:k + n] for k in range(0, n * n, n)]
+def _identity(n):
+    rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return rows, tuple((0,) * n for _ in range(n)), 1
 
 
-def _numerator_mul(n, ar, ai, br, bi):
-    """The numerators of (ar + i ai)(br + i bi), flat n x n, skipping zeros."""
-    brows = list(zip(_rows(br, n), _rows(bi, n)))
-    outr, outi = [], []
-    for xr, xi in zip(_rows(ar, n), _rows(ai, n)):
-        sr, si = [0] * n, [0] * n
-        for p, q, (yr, yi) in zip(xr, xi, brows):
-            if p:
-                sr = [s + p * y for s, y in zip(sr, yr)]
-                si = [s + p * y for s, y in zip(si, yi)]
-            if q:
-                sr = [s - q * y for s, y in zip(sr, yi)]
-                si = [s + q * y for s, y in zip(si, yr)]
-        outr += sr
-        outi += si
-    return outr, outi
+def _nonzero_powers(mat):
+    """[A^0, A^1, ..., A^m] with A^(m+1) = 0, for the numerators A of mat.
 
-
-def _identity_numerators(n):
-    return [int(i == j) for i in range(n) for j in range(n)], [0] * (n * n)
-
-
-def is_nilpotent(mat, maxpow=None):
-    """Whether a power of mat up to maxpow (default n + 1) vanishes.
-
-    Vanishing does not depend on the denominator, so the powers are taken of
-    the integer numerators alone.
+    None when A is not nilpotent, that is when A^n does not vanish.
     """
-    n = len(mat)
-    maxpow = maxpow or n + 1
-    re, im, _ = to_numerators(_flatten(mat))
-    pr, pi = re, im
-    for _ in range(maxpow):
-        if not any(pr) and not any(pi):
-            return True
-        pr, pi = _numerator_mul(n, pr, pi, re, im)
-    return False
-
-
-def _exp_numerators(n, re, im, d):
-    """Numerators of exp(A/d) for a nilpotent Gaussian integer n x n matrix A.
-
-    With A^m the last nonzero power, exp(A/d) = sum_k A^k d^(m-k) (m!/k!)
-    over the one denominator d^m m!.
-    """
-    powers = [_identity_numerators(n)]
+    re, im, _ = mat
+    a = (re, im, 1)
+    powers = [_identity(len(re))]
     while True:
-        pr, pi = _numerator_mul(n, *powers[-1], re, im)
-        if not any(pr) and not any(pi):
-            break
-        if len(powers) == n + 2:
-            raise ValueError("matrix is not nilpotent")
-        powers.append((pr, pi))
-    m = len(powers) - 1
-    outr, outi = [0] * (n * n), [0] * (n * n)
-    for k, (pr, pi) in enumerate(powers):
-        f = d ** (m - k) * (factorial(m) // factorial(k))
-        outr = [o + f * v for o, v in zip(outr, pr)]
-        outi = [o + f * v for o, v in zip(outi, pi)]
-    return normalize(outr, outi, d ** m * factorial(m))
+        p = mat_mat(powers[-1], a)
+        if not any(map(any, p[0] + p[1])):
+            return powers
+        if len(powers) == len(re):
+            return None
+        powers.append(p)
+
+
+def is_nilpotent(mat) -> bool:
+    """Whether the matrix triple mat is nilpotent."""
+    return _nonzero_powers(mat) is not None
 
 
 def exp_nilpotent(mat):
-    """Exact exp of a nilpotent GaussRational matrix."""
-    n = len(mat)
-    return _rows(from_numerators(*_exp_numerators(n, *to_numerators(_flatten(mat)))), n)
+    """Exact exp of a nilpotent matrix triple (re rows, im rows, d), as a triple.
+
+    With A its numerators and A^m the last nonzero power, exp(A/d) is the
+    sum of A^k d^(m-k) (m!/k!) over the one denominator d^m m!.
+    """
+    powers = _nonzero_powers(mat)
+    if powers is None:
+        raise ValueError("matrix is not nilpotent")
+    d, m = mat[2], len(powers) - 1
+    f = [d ** (m - k) * (factorial(m) // factorial(k)) for k in range(m + 1)]
+
+    def weighted_sum(part):
+        return [[sum(map(mul, f, entries)) for entries in zip(*rows)]
+                for rows in zip(*(p[part] for p in powers))]
+
+    return normalize_matrix(weighted_sum(0), weighted_sum(1), d ** m * factorial(m))
 
 
 @lru_cache(maxsize=None)
 def nilpotent_generators(tag: AlgebraTag):
-    """A few nilpotent derivations, as GaussRational matrices on J0."""
+    """A few nilpotent derivations m1 + i m2 on J0, as triples (m1, m2, 1)."""
     ops = so3a_basis(tag)
     ntr = len(triality_basis(tag))
     a = tag.dim
-    out = []
 
-    def slot_op(slot, k):
-        return ops[ntr + slot * a + k]
+    def slot_matrix(slot, k):
+        return ops[ntr + slot * a + k].matrix
 
     # isotropic combinations across two slots: a_i(e0) +/- i a_j(e0)
-    for s1, s2 in ((0, 1), (1, 2), (0, 2)):
-        m1, m2 = slot_op(s1, 0).matrix, slot_op(s2, 0).matrix
-        for sign in (1, -1):
-            cand = [
-                [GaussRational(v1) + GaussRational(0, sign * v2)
-                 for v1, v2 in zip(r1, r2)]
-                for r1, r2 in zip(m1, m2)
-            ]
-            if is_nilpotent(cand):
-                out.append(tuple(tuple(r) for r in cand))
+    pairs = [(slot_matrix(s1, 0), slot_matrix(s2, 0), sign)
+             for s1, s2 in ((0, 1), (1, 2), (0, 2)) for sign in (1, -1)]
     # isotropic element inside one slot (needs a >= 2)
     if a >= 2:
-        for slot in range(3):
-            m1, m2 = slot_op(slot, 0).matrix, slot_op(slot, 1).matrix
-            cand = [
-                [GaussRational(v1) + GaussRational(0, v2) for v1, v2 in zip(r1, r2)]
-                for r1, r2 in zip(m1, m2)
-            ]
-            if is_nilpotent(cand):
-                out.append(tuple(tuple(r) for r in cand))
+        pairs += [(slot_matrix(slot, 0), slot_matrix(slot, 1), 1) for slot in range(3)]
+    out = []
+    for m1, m2, sign in pairs:
+        cand = (m1, tuple(tuple(sign * v for v in row) for row in m2), 1)
+        if is_nilpotent(cand):
+            out.append(cand)
     if not out:
         raise RuntimeError("no nilpotent derivations found for %s" % tag)
     return tuple(out)
 
 
 def random_unipotent(tag: AlgebraTag, rng, factors: int = 3):
-    """A random product of exact unipotent automorphisms of J3(A), on J0."""
+    """A random product of exact unipotent automorphisms of J3(A), as a triple on J0."""
     gens = nilpotent_generators(tag)
-    n = j0_dim(tag)
-    g_re, g_im = _identity_numerators(n)
-    g_d = 1
+    g = _identity(j0_dim(tag))
     for _ in range(factors):
-        m = gens[rng.randrange(len(gens))]
+        re, im, d = gens[rng.randrange(len(gens))]
         t = rng.choice((-2, -1, 1, 2))
-        mr, mi, md = to_numerators(_flatten(m))
-        er, ei, ed = _exp_numerators(n, [v * t for v in mr], [v * t for v in mi], md)
-        g_re, g_im, g_d = normalize(*_numerator_mul(n, g_re, g_im, er, ei), g_d * ed)
-    return _rows(from_numerators(g_re, g_im, g_d), n)
+        scaled = [[[t * v for v in row] for row in part] for part in (re, im)]
+        g = mat_mat(g, exp_nilpotent((*scaled, d)))
+    return g
 
 
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:
-    """Apply a linear map given on J0 coordinates to a matrix, fixing I."""
-    n = len(mat)
-    mr, mi, md = to_numerators(_flatten(mat))
+    """Apply a linear map on J0 coordinates, a matrix triple, to a matrix, fixing I."""
+    mr, mi, md = mat
     shift = JordanMatrix.identity(tag).scale(X.trace() / 3)
     xr, xi, xd = j0_numerators(X - shift)
-    image = mat_vec(_rows(mr, n), xr, xi, md * xd, _rows(mi, n))
-    return j0_from_numerators(tag, *image) + shift
+    return j0_from_numerators(tag, *mat_vec(mr, xr, xi, md * xd, mi)) + shift

@@ -8,7 +8,7 @@ over Q(i) are returned as such (their roots are counted, not constructed).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
 
@@ -231,34 +231,36 @@ def integer_divisors(n: int):
 
 
 def rational_roots_of_int_poly(coeffs):
-    """Rational roots of an integer-coefficient polynomial (ascending coeffs)."""
+    """The rational roots of an integer polynomial (ascending coefficients), lazily.
+
+    Zero comes first when it is a root, then each p/q in lowest terms with
+    p | a0 and q | an (by p, then q, then p before -p) for which the integer
+    q^n f(p/q) vanishes.  Reducible p/q repeat a root with a smaller p.
+    """
+    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+        coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial")
-    roots = []
-    shift = 0
-    while coeffs[0] == 0:
-        shift += 1
-        coeffs = coeffs[1:]
-    if shift:
-        roots.append(Fraction(0))
-    if len(coeffs) == 1:
-        return roots
-    a0, an = coeffs[0], coeffs[-1]
-    for p in integer_divisors(a0):
-        for q in integer_divisors(an):
-            for sgn in (1, -1):
-                r = Fraction(sgn * p, q)
-                if _eval_int_poly(coeffs, r) == 0 and r not in roots:
-                    roots.append(r)
-    return roots
+    if coeffs[0] == 0:
+        yield Fraction(0)
+        while coeffs[0] == 0:
+            del coeffs[0]
+    qs = integer_divisors(coeffs[-1])
+    for p in integer_divisors(coeffs[0]):
+        for q in qs:
+            if gcd(p, q) == 1:
+                for r in (p, -p):
+                    if _int_poly_value(coeffs, r, q) == 0:
+                        yield Fraction(r, q)
 
 
-def _eval_int_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _int_poly_value(coeffs, p: int, q: int = 1) -> int:
+    """q^n f(p/q) for the integer polynomial f of degree n (ascending coefficients)."""
+    acc, qk = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * p + c * qk
+        qk *= q
     return acc
 
 
@@ -310,22 +312,15 @@ def _find_one_root(f: PolyQi):
         if s is None:
             return None
         return (-b + s) / (2 * a)
-    # degree 3: try rational (real) roots first
-    re, im = f.real_part(), f.imag_part()
-    if any(im):
-        gr_re = PolyQi([GaussRational(c) for c in re])
-        gr_im = PolyQi([GaussRational(c) for c in im])
-        g = poly_gcd(gr_re, gr_im)
-        if g.degree >= 1:
-            cand = rational_roots_of_int_poly(_clear_denominators([c.re for c in g.coeffs]))
-            for r in cand:
-                rr = GaussRational(r)
-                if f(rr).is_zero():
-                    return rr
-    else:
-        cand = rational_roots_of_int_poly(_clear_denominators(re))
-        for r in cand:
+    # degree 3: a rational root is a root of gcd(Re f, Im f), which is f itself
+    # when f is real
+    re, im = PolyQi(f.real_part()), PolyQi(f.imag_part())
+    g = poly_gcd(re, im)
+    if g.degree >= 1:
+        r = next(rational_roots_of_int_poly(_clear_denominators(g.real_part())), None)
+        if r is not None:
             return GaussRational(r)
+    if im.is_zero():
         # real coefficients with no rational root: any Q(i) root r would force
         # conj(r) to be a root too, leaving a rational third root. None exists.
         return None
@@ -348,24 +343,22 @@ def _find_one_root(f: PolyQi):
 
 def _quadratic_factors(gint):
     """Candidate integer quadratic factors (c0, c1, c2) of an integer poly."""
-    g0 = _eval_int_poly(gint, Fraction(0))
-    g1 = _eval_int_poly(gint, Fraction(1))
-    gm1 = _eval_int_poly(gint, Fraction(-1))
+    g0, g1, gm1 = (_int_poly_value(gint, x) for x in (0, 1, -1))
     if g0 == 0 or g1 == 0 or gm1 == 0:
         return  # rational root present; handled elsewhere
     lead = gint[-1]
     out = set()
     for c2 in integer_divisors(lead):
-        for d0 in integer_divisors(int(g0)):
+        for d0 in integer_divisors(g0):
             for s0 in (1, -1):
                 c0 = s0 * d0
-                for d1 in integer_divisors(int(g1)):
+                for d1 in integer_divisors(g1):
                     for s1 in (1, -1):
                         # m(1) = c2 + c1 + c0 = s1*d1
                         c1 = s1 * d1 - c2 - c0
                         # check m(-1) divides gm1
                         mval = c2 - c1 + c0
-                        if mval == 0 or int(gm1) % mval != 0:
+                        if mval == 0 or gm1 % mval != 0:
                             continue
                         key = (c0, c1, c2)
                         if key not in out and _int_poly_divides([c0, c1, c2], gint):

@@ -223,12 +223,8 @@ def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
     """Extension of the projection to arbitrary wedge tensors."""
     re, im, d = to_numerators(w)
     vr, vi = zip(*pi_pairings(tag, re, im))
-    # B^-1 as one integer matrix over the denominator bd
-    binv = bform_inverse(tag)
-    n = len(binv)
-    br, _, bd = to_numerators(v for row in binv for v in row)
-    rows = [br[k:k + n] for k in range(0, n * n, n)]
-    return LieCombo(tag, from_numerators(*mat_vec(rows, vr, vi, bd * d)))
+    br, bi, bd = bform_inverse(tag)
+    return LieCombo(tag, from_numerators(*mat_vec(br, vr, vi, bd * d, bi)))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:

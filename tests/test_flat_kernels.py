@@ -20,10 +20,12 @@ import pytest
 
 from jordanred import reductions
 from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
-from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational
+from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
+                                to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
-from jordanred.liealg import (apply_j0_linear, exp_nilpotent, is_nilpotent, j0_basis,
-                              j0_coords, j0_dim, nilpotent_generators, random_unipotent)
+from jordanred.liealg import (LieCombo, apply_j0_linear, exp_nilpotent, is_nilpotent,
+                              j0_basis, j0_coords, j0_dim, nilpotent_generators,
+                              random_unipotent, so3a_matrices)
 from jordanred.linalg import rank_numerators
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
@@ -238,10 +240,29 @@ def ref_random_unipotent(tag, rng, factors):
     gens = nilpotent_generators(tag)
     g = ref_identity(j0_dim(tag))
     for _ in range(factors):
-        m = gens[rng.randrange(len(gens))]
+        m = view(gens[rng.randrange(len(gens))])
         t = rng.choice((-2, -1, 1, 2))
         g = ref_matrix_mul(g, ref_exp_nilpotent([[v * t for v in row] for row in m]))
     return g
+
+
+# -- matrix triples ----------------------------------------------------------------
+
+
+def view(triple):
+    """The GaussRational rows of a matrix triple (re rows, im rows, d)."""
+    re, im, d = triple
+    assert d > 0 and gcd(d, *(v for part in (re, im) for row in part for v in row)) == 1
+    assert len(re) == len(im) and all(len(a) == len(b) for a, b in zip(re, im))
+    return [from_numerators(a, b, d) for a, b in zip(re, im)]
+
+
+def as_triple(mat):
+    """A matrix of Q(i) scalars as a matrix triple over the lcm of its denominators."""
+    n = len(mat[0])
+    re, im, d = to_numerators(v for row in mat for v in row)
+    return ([re[k:k + n] for k in range(0, len(re), n)],
+            [im[k:k + n] for k in range(0, len(im), n)], d)
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -461,15 +482,32 @@ def test_a_purely_imaginary_pairing_is_not_a_member(tag):
 def test_unipotent_products_match_the_scalar_loops(tag):
     gens = nilpotent_generators(tag)
     for m in gens:
-        assert is_nilpotent(m) and ref_is_nilpotent(m)
-        half = [[v * Fraction(1, 2) for v in row] for row in m]
-        assert _fields(exp_nilpotent(half)) == _fields(ref_exp_nilpotent(half))
-    ident = ref_identity(len(gens[0]))
-    not_nilpotent = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(gens[0], ident)]
-    assert not is_nilpotent(not_nilpotent) and not ref_is_nilpotent(not_nilpotent)
+        assert m[2] == 1  # Gaussian integer matrices
+        assert is_nilpotent(m) and ref_is_nilpotent(view(m))
+        half = [[v * Fraction(1, 2) for v in row] for row in view(m)]
+        assert _fields(view(exp_nilpotent(as_triple(half)))) == \
+            _fields(ref_exp_nilpotent(half))
+    ident = ref_identity(j0_dim(tag))
+    not_nilpotent = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(view(gens[0]), ident)]
+    assert not is_nilpotent(as_triple(not_nilpotent)) and not ref_is_nilpotent(not_nilpotent)
     with pytest.raises(ValueError):
-        exp_nilpotent(not_nilpotent)
+        exp_nilpotent(as_triple(not_nilpotent))
     for factors in (1, 3):
         seed = 60 + factors
         got = random_unipotent(tag, random.Random(seed), factors)
-        assert _fields(got) == _fields(ref_random_unipotent(tag, random.Random(seed), factors))
+        assert _fields(view(got)) == \
+            _fields(ref_random_unipotent(tag, random.Random(seed), factors))
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_realized_combination_matches_the_scalar_sum(tag):
+    """LieCombo.realized against sum c_k M_k, one GaussRational entry at a time."""
+    rng = make_rng(70 + ALL_TAGS.index(tag))
+    mats = so3a_matrices(tag)
+    for kind in ("small", "tall", "mixed", "sparse", "zero"):
+        coeffs = [_scalar(rng, kind) for _ in mats]
+        n = j0_dim(tag)
+        ref = [[GR_ZERO] * n for _ in range(n)]
+        for c, m in zip(coeffs, mats):
+            ref = [[r + c * v for r, v in zip(rrow, mrow)] for rrow, mrow in zip(ref, m)]
+        assert _fields(view(LieCombo(tag, coeffs).realized())) == _fields(ref)

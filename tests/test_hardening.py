@@ -14,6 +14,7 @@ from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
                                   project_so3a, representative,
                                   severi_points_on_line, tangent_dim, wedge_of)
 from jordanred.sampling import make_rng, random_member_line, random_traceless
+from test_flat_kernels import view
 
 COUNTS = {OrbitClass.OPEN0: (3, 0, False), OrbitClass.CODIM1: (1, 1, False),
           OrbitClass.CODIM2: (0, 1, False), OrbitClass.CODIM4: (0, 0, True)}
@@ -85,8 +86,8 @@ def test_projection_equivariance_octonions():
     u = ops[17]
     ux, uy = u.apply(x), u.apply(y)
     w = [a + b for a, b in zip(wedge_of(ux, y), wedge_of(x, uy))]
-    lhs = pi_of_wedge(tag, w).realized()
-    pi_xy = project_so3a(x, y).realized()
+    lhs = view(pi_of_wedge(tag, w).realized())
+    pi_xy = view(project_so3a(x, y).realized())
     umat = [[GaussRational(v) for v in row] for row in u.matrix]
     comm_l = mat_mul(umat, pi_xy)
     comm_r = mat_mul(pi_xy, umat)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -89,3 +91,125 @@ def test_integer_helpers():
     assert integer_divisors(-7) == [1, 7]
     assert set(rational_roots_of_int_poly([6, -5, 1])) == {Fraction(2), Fraction(3)}
     assert Fraction(1, 2) in rational_roots_of_int_poly([-1, 0, 4])
+
+
+# -- rational roots against a brute-force Fraction reference -------------------
+
+HIGHLY_COMPOSITE = (12, 60, 360, 720, 2520, 5040)
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def ref_rational_roots(coeffs):
+    """Every p | a0 and q | an as the reduced p/q and -p/q, each kept once in
+    first-appearance order if it is a root, after 0 if 0 is one."""
+    while coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    roots = [Fraction(0)] if coeffs[0] == 0 else []
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    qs = _divisors(coeffs[-1])
+    for p in _divisors(coeffs[0]):
+        for q in qs:
+            for r in (Fraction(p, q), Fraction(-p, q)):
+                value = Fraction(0)
+                for c in reversed(coeffs):
+                    value = value * r + c
+                if value == 0 and r not in roots:
+                    roots.append(r)
+    return roots
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_int_poly(rng, degree):
+    """Ascending integer coefficients: up to `degree` rational linear factors
+    q t - p times a random factor of the remaining degree."""
+    poly = [1]
+    for _ in range(rng.randint(0, degree)):
+        poly = _times(poly, [-rng.choice((0, 1, 2, 3, 5)) * rng.choice((1, -1)),
+                             rng.choice((1, 2, 3, 4))])
+    rest = [rng.choice((0, 1, 2, 3, 5, 7, 30)) * rng.choice((1, -1))
+            for _ in range(degree - len(poly) + 2)]
+    rest[-1] = rng.choice((1, 2, 3, 5)) * rng.choice((1, -1))
+    # a highly composite constant or leading coefficient: many candidates p/q
+    rest[rng.choice((0, -1)) if len(rest) > 1 else 0] = \
+        rng.choice(HIGHLY_COMPOSITE + (1, 2, 3)) * rng.choice((1, -1))
+    return _times(poly, rest)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_match_the_brute_force_reference(seed):
+    rng = random.Random(seed)
+    seen = {"zero constant": 0, "negative leading": 0, "with roots": 0}
+    for _ in range(40):
+        coeffs = _random_int_poly(rng, rng.randint(1, 4))
+        assert 1 <= len(coeffs) - 1 <= 4
+        expected = ref_rational_roots(coeffs)
+        assert list(rational_roots_of_int_poly(coeffs)) == expected
+        assert list(rational_roots_of_int_poly(coeffs + [0, 0])) == expected
+        seen["zero constant"] += coeffs[0] == 0
+        seen["negative leading"] += coeffs[-1] < 0
+        seen["with roots"] += bool(expected)
+    assert min(seen.values()) > 5, seen
+
+
+def test_rational_roots_are_lazy_and_reject_the_zero_polynomial():
+    roots = rational_roots_of_int_poly([-6, 1, 1])  # (t - 2)(t + 3)
+    assert next(roots) == 2 and next(roots) == -3
+    for zero in ([], [0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            list(rational_roots_of_int_poly(zero))
+    assert list(rational_roots_of_int_poly([5])) == []
+    assert list(rational_roots_of_int_poly([0, 0, 7])) == [0]
+
+
+# -- cubics through the one degree-3 branch -------------------------------------
+
+
+def lin(r, q=1):
+    """q t - q r."""
+    return PolyQi([-r * q, q])
+
+
+@pytest.mark.parametrize("f, roots, leftovers", [
+    (lin(gr(Fraction(3, 2)), 2) * P(1, 1, 1), [gr(Fraction(3, 2))], [P(1, 1, 1)]),
+    (lin(gr(Fraction(-5, 2)), 2) * P(-2, 0, 1), [gr(Fraction(-5, 2))], [P(-2, 0, 1)]),
+    (lin(gr(-7)) * P(3, 0, 1), [gr(-7)], [P(3, 0, 1)]),
+    (lin(gr(Fraction(35, 6)), 6) * P(-6, 0, 1), [gr(Fraction(35, 6))], [P(-6, 0, 1)]),
+    # t^2 + 4 is irreducible over Q but splits over Q(i)
+    (lin(gr(Fraction(1, 3)), -3) * P(4, 0, 1),
+     [gr(Fraction(1, 3)), gr(0, 2), gr(0, -2)], []),
+    (lin(gr(Fraction(-720, 7)), 7) * P(5040, -2520, 360),
+     [gr(Fraction(-720, 7))], [P(14, -7, 1)]),
+], ids=["3/2", "-5/2", "-7", "35/6", "1/3-splits", "-720/7"])
+def test_real_cubic_with_one_rational_root(f, roots, leftovers):
+    assert all(c.is_real() for c in f.coeffs)
+    assert roots_qi(f) == (roots, leftovers)
+
+
+@pytest.mark.parametrize("f, roots, leftovers", [
+    (lin(gr(2)) * P(1, gr(0, 1), 1), [gr(2)], [P(1, gr(0, 1), 1)]),
+    (lin(gr(Fraction(-1, 3)), 3) * lin(gr(0, 1)) * lin(gr(2, 1)),
+     [gr(Fraction(-1, 3)), gr(2, 1), gr(0, 1)], []),
+    (lin(gr(Fraction(5, 7)), 7) * P(gr(0, 3), gr(1, 1), 1),
+     [gr(Fraction(5, 7))], [P(gr(0, 3), gr(1, 1), 1)]),
+    (lin(gr(Fraction(-12, 5)), 5) * P(gr(2, -1), gr(0, 2), gr(3)),
+     [gr(Fraction(-12, 5))], [P(gr(Fraction(2, 3), Fraction(-1, 3)), gr(0, Fraction(2, 3)), 1)]),
+    (lin(gr(60)) * P(gr(1, 360), gr(0, -1), gr(0, 1)), [gr(60)], [P(gr(360, -1), -1, 1)]),
+    (lin(gr(Fraction(1, 2)), 2) * lin(gr(Fraction(1, 2))) * lin(gr(3, -4)),
+     [gr(Fraction(1, 2)), gr(3, -4), gr(Fraction(1, 2))], []),
+], ids=["2", "-1/3", "5/7", "-12/5", "60", "1/2-double"])
+def test_complex_cubic_with_a_rational_root(f, roots, leftovers):
+    assert not all(c.is_real() for c in f.coeffs)
+    assert roots_qi(f) == (roots, leftovers)

@@ -23,6 +23,7 @@ from jordanred.sampling import (make_rng, random_member_line,
                                 random_pierce_triple,
                                 random_projected_rank_one, random_square_zero,
                                 random_traceless)
+from test_flat_kernels import view
 
 KER_PI_DIMS = {1: 7, 2: 20, 4: 70, 8: 273}
 
@@ -160,8 +161,8 @@ def test_projection_equivariance(tag):
         u = ops[rng.randrange(len(ops))]
         ux, uy = u.apply(x), u.apply(y)
         w = [a + b for a, b in zip(wedge_of(ux, y), wedge_of(x, uy))]
-        lhs = pi_of_wedge(tag, w).realized()
-        pi_xy = project_so3a(x, y).realized()
+        lhs = view(pi_of_wedge(tag, w).realized())
+        pi_xy = view(project_so3a(x, y).realized())
         umat = [[GaussRational(v) for v in row] for row in u.matrix]
         rhs_m = mat_mul(umat, pi_xy)
         rhs_s = mat_mul(pi_xy, umat)
