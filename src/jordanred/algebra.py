@@ -307,8 +307,9 @@ class AlgElement(FlatVector):
     @classmethod
     def from_json(cls, obj) -> "AlgElement":
         tag = tag_by_name(obj["algebra"])
-        coords = [GaussRational.from_json(c) for c in obj["coords"]]
-        return cls(tag, coords)
+        if not isinstance(obj["coords"], list):
+            raise ValueError("coords must be a JSON array")
+        return cls(tag, [GaussRational.from_json(c) for c in obj["coords"]])
 
 
 def qbilin(x: AlgElement, y: AlgElement) -> GaussRational:

@@ -134,6 +134,8 @@ class JordanMatrix(FlatVector):
     @classmethod
     def from_json(cls, obj) -> "JordanMatrix":
         tag = tag_by_name(obj["algebra"])
+        if not isinstance(obj["c"], list):
+            raise ValueError("c must be a JSON array")
         c = [GaussRational.from_json(v) for v in obj["c"]]
         x = [AlgElement.from_json(obj[k]) for k in ("x1", "x2", "x3")]
         for e in x:

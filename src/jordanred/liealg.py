@@ -2,10 +2,15 @@
 
 The triality algebra t(A) -- triples (u1, u2, u3) of skew endomorphisms of A
 with u1(xy) = u2(x)y + x u3(y) -- is computed as the exact nullspace of the
-defining linear system over the basis of A.  Every generator is realized as
-an integer matrix on the traceless subspace J0 in a fixed basis, so that
-membership, stabilizer and tangent computations reduce to exact linear
-algebra.
+defining linear system over the basis of A.  An operator of so3(A) is one
+integer matrix on the 3a + 3 coordinates of J3(A), built once from its
+components by one cyclic rule: with (j, k) = (i + 1, i + 2) and s = +1, +1,
+-1 for slot i = 1, 2, 3, the generator a in slot i sends c_j by -2s q(a, x_i),
+c_k by +2s q(a, x_i), x_i by s (c_j - c_k) a, x_j by s conj(x_k a) and x_k by
+-s conj(a x_j); a triality triple (v1, v2, v3) sends x1 to v3 x1, x2 to
+conj v1 conj x2 and x3 to v2 x3.  Its restriction to the traceless subspace
+J0 in a fixed basis is an integer matrix too, so that membership, stabilizer
+and tangent computations reduce to exact linear algebra.
 
 Basis of J0 (dimension 3a + 2):
     D1 = diag(1,-1,0), D2 = diag(0,1,-1),
@@ -18,10 +23,10 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .algebra import AlgebraTag, AlgElement, mult_table, qbilin
-from .gaussrat import (GR_ZERO, GaussRational, from_numerators, mat_mat, mat_vec,
-                       normalize_matrix, to_numerators)
-from .jordan import JordanMatrix, inner
+from .algebra import AlgebraTag, AlgElement, mult_table
+from .gaussrat import (GaussRational, from_numerators, mat_mat, mat_vec, normalize_matrix,
+                       to_numerators)
+from .jordan import JordanMatrix, _slots, inner
 from .linalg import RowSpan, invert, nullspace, rank_numerators
 
 
@@ -98,11 +103,6 @@ def _skew_matrix(a: int, p: int, q: int):
     m[p][q] = 1
     m[q][p] = -1
     return m
-
-
-def apply_skew(tag: AlgebraTag, m, x: AlgElement) -> AlgElement:
-    """The integer matrix m applied to the coordinates of x."""
-    return AlgElement._raw(tag, *mat_vec(m, x.nr, x.ni, x.d))
 
 
 @lru_cache(maxsize=None)
@@ -201,84 +201,76 @@ def triality_identity_holds(tag: AlgebraTag, triple) -> bool:
 
 
 class So3AOperator:
-    """A derivation of J3(A), with its (t, a1, a2, a3) components.
+    """A derivation of J3(A), built from its (t, a1, a2, a3) components.
 
-    `tmats` is a triple of skew integer matrices (or None), the a_i are
-    algebra elements.  `matrix` is the realized integer matrix on J0.
+    `tmats` is a triality triple (v1, v2, v3) of skew integer matrices (or
+    None), and each a_i is an algebra element with integer real coordinates
+    (anything else raises ArithmeticError).  The operator is one integer
+    matrix `full` on the 3a + 3 coordinates (c1, c2, c3, x1, x2, x3) of
+    J3(A).  With (j, k) = (i + 1, i + 2) cyclically, s = +1, +1, -1 for
+    i = 1, 2, 3 and a = a_i, the slot part acts by
+
+        c_j -= 2s q(a, x_i),  c_k += 2s q(a, x_i),
+        x_i += s (c_j - c_k) a,
+        x_j += s conj(x_k a),  x_k -= s conj(a x_j),
+
+    and the triple by x1 -> v3 x1, x2 -> conj v1 conj x2, x3 -> v2 x3.  The
+    a_i generator is twice the inner derivation [L_{F_i(a)}, L_{D_i}], with
+    F_i(a) carrying a in slot i and D_i the traceless diagonal matrix giving
+    the coefficient s (c_j - c_k); the test suite checks it against those
+    commutators.  `matrix` is the restriction to J0 in its fixed basis: rows
+    c1, -c3 and the slots, columns c1 - c2, c2 - c3 and the slots.
     """
 
-    __slots__ = ("tag", "tmats", "a1", "a2", "a3", "matrix")
+    __slots__ = ("tag", "kind", "full", "matrix")
 
     def __init__(self, tag, tmats=None, a1=None, a2=None, a3=None):
         self.tag = tag
-        self.tmats = tmats
-        z = AlgElement.zero(tag)
-        self.a1 = a1 if a1 is not None else z
-        self.a2 = a2 if a2 is not None else z
-        self.a3 = a3 if a3 is not None else z
-        # realized columns, transposed into row-major form
-        self.matrix = tuple(zip(*(_integral(self.apply(b)) for b in j0_basis(tag))))
+        self.kind = "t" if tmats is not None else "a"
+        a = tag.dim
+        lo = _slots(a)
+        plain, conj = (1,) * a, (1,) + (-1,) * (a - 1)
+        full = [[0] * (3 * a + 3) for _ in range(3 * a + 3)]
+
+        def add_block(i, j, sign, block, rows=plain, cols=plain):
+            """sign diag(rows) block diag(cols), from slot j into slot i."""
+            for p, row in enumerate(block):
+                out = full[lo[i] + p]
+                for q, v in enumerate(row):
+                    out[lo[j] + q] += sign * rows[p] * cols[q] * v
+
+        if tmats is not None:
+            v1, v2, v3 = tmats
+            add_block(0, 0, 1, v3)
+            add_block(1, 1, 1, v1, conj, conj)
+            add_block(2, 2, 1, v2)
+        for i, (elt, s) in enumerate(zip((a1, a2, a3), (1, 1, -1))):
+            if elt is None:
+                continue
+            if elt.tag != tag:
+                raise ValueError("operator and slot generator live over different algebras")
+            if elt.d != 1 or any(elt.ni):
+                raise ArithmeticError("slot generator is not an integral real element")
+            j, k = (i + 1) % 3, (i + 2) % 3
+            for p, v in enumerate(elt.nr):
+                full[j][lo[i] + p] -= 2 * s * v
+                full[k][lo[i] + p] += 2 * s * v
+                full[lo[i] + p][j] += s * v
+                full[lo[i] + p][k] -= s * v
+            add_block(j, k, s, _int_matrix(right_mult_matrix(elt)), conj)
+            add_block(k, j, -s, _int_matrix(left_mult_matrix(elt)), conj)
+        self.full = tuple(map(tuple, full))
+        rows = [full[0], [-v for v in full[2]]] + full[3:]
+        self.matrix = tuple((r[0] - r[1], r[1] - r[2]) + tuple(r[3:]) for r in rows)
 
     def apply(self, X: JordanMatrix) -> JordanMatrix:
-        """The slot-wise derivation action, extended linearly.
-
-        The a_i generator equals twice the inner derivation
-        [L_{F_i(a)}, L_{D_i}] with F_i(a) the matrix carrying a in slot i and
-        D_i the traceless diagonal matrix giving the displayed scalar
-        coefficients (r_2 - r_3), (r_3 - r_1), (r_2 - r_1); the closed forms
-        below are checked against those commutators by the test suite.  For a
-        triality triple (v_1, v_2, v_3) with v_1(xy) = v_2(x)y + x v_3(y), the
-        derivation property forces the cyclic slot alignment used here.
-        """
-        tag = self.tag
-        if X.tag != tag:
+        """The derivation applied to X: `full` on its numerators."""
+        if X.tag != self.tag:
             raise ValueError("operator and matrix live over different algebras")
-        r1, r2, r3 = X.c
-        x1, x2, x3 = X.x
-        d1 = d2 = d3 = GR_ZERO
-        o1 = AlgElement.zero(tag)
-        o2 = AlgElement.zero(tag)
-        o3 = AlgElement.zero(tag)
-        if self.tmats is not None:
-            v1, v2, v3 = self.tmats
-            o1 = o1 + apply_skew(tag, v3, x1)
-            o2 = o2 + apply_skew(tag, v1, x2.conj()).conj()
-            o3 = o3 + apply_skew(tag, v2, x3)
-        a1, a2, a3 = self.a1, self.a2, self.a3
-        if not a1.is_zero():
-            q1 = qbilin(a1, x1)
-            d2 = d2 - 2 * q1
-            d3 = d3 + 2 * q1
-            o1 = o1 + a1.scale(r2 - r3)
-            o2 = o2 + (x3 * a1).conj()
-            o3 = o3 - (a1 * x2).conj()
-        if not a2.is_zero():
-            q2 = qbilin(a2, x2)
-            d1 = d1 + 2 * q2
-            d3 = d3 - 2 * q2
-            o2 = o2 + a2.scale(r3 - r1)
-            o3 = o3 + (x1 * a2).conj()
-            o1 = o1 - (a2 * x3).conj()
-        if not a3.is_zero():
-            q3 = qbilin(a3, x3)
-            d1 = d1 + 2 * q3
-            d2 = d2 - 2 * q3
-            o3 = o3 + a3.scale(r2 - r1)
-            o2 = o2 + (a3 * x1).conj()
-            o1 = o1 - (x2 * a3).conj()
-        return JordanMatrix(tag, (d1, d2, d3), (o1, o2, o3))
+        return JordanMatrix._raw(self.tag, *mat_vec(self.full, X.nr, X.ni, X.d))
 
     def __repr__(self):
-        kind = "t" if self.tmats is not None else "a"
-        return "So3AOperator(%s, %s)" % (self.tag, kind)
-
-
-def _integral(X: JordanMatrix):
-    """The J0 coordinates of X, which must be integers."""
-    nr, ni, d = j0_numerators(X)
-    if d != 1 or any(ni):
-        raise ArithmeticError("realized operator not integral")
-    return nr
+        return "So3AOperator(%s, %s)" % (self.tag, self.kind)
 
 
 @lru_cache(maxsize=None)

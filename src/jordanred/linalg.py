@@ -198,18 +198,3 @@ def invert(rows):
         raise ValueError("singular matrix")
     return [row[n:] for row in red]
 
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            s = ai[0] * b[0][j]
-            for t in range(1, k):
-                if ai[t]:
-                    s = s + ai[t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out

@@ -170,6 +170,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factorize(n: int) -> dict:
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
     n = abs(n)
     out = {}
     for p in (2, 3, 5, 7, 11, 13):
@@ -222,7 +224,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def integer_divisors(n: int):
-    """All positive divisors of |n| (n nonzero)."""
+    """All positive divisors of |n|; ValueError for n = 0."""
     fac = _factorize(n)
     divs = [1]
     for p, e in fac.items():

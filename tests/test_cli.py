@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jordanred.algebra import ALG_O
+from jordanred.algebra import ALG_C, ALG_O
 from jordanred.cli import (build_betti, build_degree,
                            build_lie_dims, build_linear_spaces, build_orbits,
                            build_properties, build_verify_algebra,
@@ -153,6 +153,13 @@ def _with_diagonal(values):
     return line
 
 
+def _with_coords(coords):
+    """The open C line with the coordinates of X's entry x1 replaced."""
+    line = representative(ALG_C, OrbitClass.OPEN0).to_json()
+    line["X"]["x1"]["coords"] = coords
+    return line
+
+
 @pytest.mark.parametrize("text", [json.dumps(payload) for payload in [
     {"X": {"algebra": "O"}},
     [1, 2],
@@ -164,12 +171,16 @@ def _with_diagonal(values):
     _with_scalar(1.5),
     _with_diagonal(["1e3", "1", "-1001"]),
     _with_diagonal(["1_0", "1", "-11"]),
+    _with_diagonal({"1": 0, "-1": 0, "0": 0}),
+    _with_coords({"1": "7", "0": "9"}),
+    _with_coords("00"),
 ]] + [
     # beyond the recursion limit of the JSON decoder, which json.dumps cannot write
     "[" * 100000 + "]" * 100000,
 ], ids=["missing-key", "list", "zero-denominator", "missing-Y", "string-matrix",
         "null", "three-part-scalar", "float-scalar", "exponent-scalar",
-        "underscore-scalar", "deeply-nested"])
+        "underscore-scalar", "object-diagonal", "object-coords", "string-coords",
+        "deeply-nested"])
 def test_malformed_line_exit_code(tmp_path, capsys, text):
     path = tmp_path / "line.json"
     path.write_text(text)

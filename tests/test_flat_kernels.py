@@ -7,9 +7,10 @@ references below are the per-scalar loops they replace: the algebra product
 from the multiplication table, the cyclic formula for the Jordan product, the
 determinant from traces of Jordan powers, the wedge and pi contraction, the
 tangent rows and the `PolyQi` minors loop on `j0_coords`, the matrix
-product, nilpotency test and exponential, and the Gauss-Jordan elimination
-that `linalg.RowSpan` ran before its rows held integer numerators, all in
-GaussRational arithmetic.
+product, nilpotency test and exponential, the Gauss-Jordan elimination that
+`linalg.RowSpan` ran before its rows held integer numerators, and the
+slot-wise action of the so3(A) operators before each became one integer
+matrix, all in GaussRational and AlgElement arithmetic.
 """
 
 import random
@@ -23,9 +24,10 @@ from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
-from jordanred.liealg import (LieCombo, apply_j0_linear, exp_nilpotent, is_nilpotent,
-                              j0_basis, j0_coords, j0_dim, nilpotent_generators,
-                              random_unipotent, so3a_matrices)
+from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, exp_nilpotent,
+                              is_nilpotent, j0_basis, j0_coords, j0_dim, j0_numerators,
+                              nilpotent_generators, random_unipotent, so3a_basis,
+                              so3a_matrices, triality_basis)
 from jordanred.linalg import rank_numerators
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
@@ -33,7 +35,7 @@ from jordanred.reductions import (ReductionLine, available_orbits, classify_orbi
                                   pi_table, project_so3a, representative,
                                   severi_points_on_line, tangent_dim, wedge_of,
                                   wedge_pairs)
-from jordanred.sampling import make_rng, random_scalar
+from jordanred.sampling import make_rng, random_jordan, random_scalar
 
 HALF = GaussRational(Fraction(1, 2))
 KINDS = ("small", "tall", "mixed", "sparse", "zero", "cancelling")
@@ -195,12 +197,6 @@ def ref_minor_gcd(X, Y):
     return g.monic()
 
 
-def ref_matrix_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), GR_ZERO)
-             for j in range(n)] for i in range(n)]
-
-
 def ref_identity(n):
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
 
@@ -214,7 +210,7 @@ def ref_is_nilpotent(mat):
     for _ in range(len(mat) + 1):
         if _all_zero(p):
             return True
-        p = ref_matrix_mul(p, mat)
+        p = mat_mul(p, mat)
     return False
 
 
@@ -222,7 +218,7 @@ def ref_exp_nilpotent(mat):
     n = len(mat)
     out, term, k = ref_identity(n), ref_identity(n), 1
     while True:
-        term = ref_matrix_mul(term, mat)
+        term = mat_mul(term, mat)
         if _all_zero(term):
             return out
         inv = GR_ONE / GaussRational(_factorial(k))
@@ -242,8 +238,67 @@ def ref_random_unipotent(tag, rng, factors):
     for _ in range(factors):
         m = view(gens[rng.randrange(len(gens))])
         t = rng.choice((-2, -1, 1, 2))
-        g = ref_matrix_mul(g, ref_exp_nilpotent([[v * t for v in row] for row in m]))
+        g = mat_mul(g, ref_exp_nilpotent([[v * t for v in row] for row in m]))
     return g
+
+
+def ref_skew(tag, m, x):
+    """The integer matrix m applied to the coordinates of x, one scalar at a time."""
+    xs = x.coords
+    return AlgElement(tag, [sum((c * v for c, v in zip(row, xs) if c), GR_ZERO) for row in m])
+
+
+def ref_apply(tag, X, tmats=None, a1=None, a2=None, a3=None):
+    """The so3(A) operator with components (t, a1, a2, a3) applied to X, slot by
+    slot in AlgElement arithmetic, with one hand-written branch per a_i."""
+    r1, r2, r3 = X.c
+    x1, x2, x3 = X.x
+    d1 = d2 = d3 = GR_ZERO
+    o1 = o2 = o3 = AlgElement.zero(tag)
+    if tmats is not None:
+        v1, v2, v3 = tmats
+        o1 = o1 + ref_skew(tag, v3, x1)
+        o2 = o2 + ref_skew(tag, v1, x2.conj()).conj()
+        o3 = o3 + ref_skew(tag, v2, x3)
+    if a1 is not None:
+        q1 = ref_q(a1.coords, x1.coords)
+        d2 = d2 - 2 * q1
+        d3 = d3 + 2 * q1
+        o1 = o1 + a1.scale(r2 - r3)
+        o2 = o2 + (x3 * a1).conj()
+        o3 = o3 - (a1 * x2).conj()
+    if a2 is not None:
+        q2 = ref_q(a2.coords, x2.coords)
+        d1 = d1 + 2 * q2
+        d3 = d3 - 2 * q2
+        o2 = o2 + a2.scale(r3 - r1)
+        o3 = o3 + (x1 * a2).conj()
+        o1 = o1 - (a2 * x3).conj()
+    if a3 is not None:
+        q3 = ref_q(a3.coords, x3.coords)
+        d1 = d1 + 2 * q3
+        d2 = d2 - 2 * q3
+        o3 = o3 + a3.scale(r2 - r1)
+        o2 = o2 + (a3 * x1).conj()
+        o1 = o1 - (x2 * a3).conj()
+    return JordanMatrix(tag, (d1, d2, d3), (o1, o2, o3))
+
+
+def ref_operator_matrix(tag, components):
+    """The J0 columns of ref_apply on the J0 basis, transposed into rows."""
+    cols = []
+    for b in j0_basis(tag):
+        nr, ni, d = j0_numerators(ref_apply(tag, b, **components))
+        assert d == 1 and not any(ni)
+        cols.append(nr)
+    return tuple(zip(*cols))
+
+
+def basis_components(tag):
+    """The components of the operators of so3a_basis(tag), in its order."""
+    return [{"tmats": t} for t in triality_basis(tag)] + \
+        [{"a%d" % (slot + 1): AlgElement.basis(tag, k)}
+         for slot in range(3) for k in range(tag.dim)]
 
 
 # -- matrix triples ----------------------------------------------------------------
@@ -255,6 +310,23 @@ def view(triple):
     assert d > 0 and gcd(d, *(v for part in (re, im) for row in part for v in row)) == 1
     assert len(re) == len(im) and all(len(a) == len(b) for a, b in zip(re, im))
     return [from_numerators(a, b, d) for a, b in zip(re, im)]
+
+
+def mat_mul(a, b):
+    """The oracle product of two matrices of scalars, one entry at a time."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = []
+        for j in range(m):
+            s = ai[0] * b[0][j]
+            for t in range(1, k):
+                if ai[t]:
+                    s = s + ai[t] * b[t][j]
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def as_triple(mat):
@@ -511,3 +583,52 @@ def test_realized_combination_matches_the_scalar_sum(tag):
         for c, m in zip(coeffs, mats):
             ref = [[r + c * v for r, v in zip(rrow, mrow)] for rrow, mrow in zip(ref, m)]
         assert _fields(view(LieCombo(tag, coeffs).realized())) == _fields(ref)
+
+
+# -- the so3(A) operators -----------------------------------------------------------------
+
+
+def _apply_inputs(tag, rng):
+    """Random matrices with nonzero trace, the identity and a matrix of height ~1e8."""
+    xs = [random_jordan(tag, rng) for _ in range(3)]
+    assert not all(x.is_traceless() for x in xs)
+    return xs + [JordanMatrix.identity(tag),
+                 _jordan(tag, [_scalar(rng, "tall") for _ in range(3 * tag.dim + 3)])]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_operator_matrices_match_the_slot_wise_action(tag):
+    ops, components = so3a_basis(tag), basis_components(tag)
+    assert len(ops) == len(components)
+    for op, kw in zip(ops, components):
+        assert op.matrix == ref_operator_matrix(tag, kw)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_operator_apply_matches_the_slot_wise_action(tag):
+    xs = _apply_inputs(tag, make_rng(80 + ALL_TAGS.index(tag)))
+    for op, kw in zip(so3a_basis(tag), basis_components(tag)):
+        for x in xs:
+            assert op.apply(x) == ref_apply(tag, x, **kw)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_a_multi_component_operator_matches_the_slot_wise_action(tag):
+    rng = make_rng(90 + ALL_TAGS.index(tag))
+    triples = triality_basis(tag)
+    kw = {"tmats": triples[-1] if triples else None,
+          "a1": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)]),
+          "a3": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)])}
+    op = So3AOperator(tag, **kw)
+    assert op.matrix == ref_operator_matrix(tag, kw)
+    for x in _apply_inputs(tag, rng):
+        assert op.apply(x) == ref_apply(tag, x, **kw)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_a_fractional_or_imaginary_slot_generator_raises(tag):
+    for k in range(tag.dim):
+        e = AlgElement.basis(tag, k)
+        for a1 in (e.scale(Fraction(1, 2)), e.scale(GR_I)):
+            with pytest.raises(ArithmeticError):
+                So3AOperator(tag, a1=a1)

@@ -8,13 +8,12 @@ from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement
 from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr
 from jordanred.jordan import JordanMatrix, jordan_mul
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
-from jordanred.linalg import mat_mul
 from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
                                   classify_orbit, membership, pi_of_wedge,
                                   project_so3a, representative,
                                   severi_points_on_line, tangent_dim, wedge_of)
 from jordanred.sampling import make_rng, random_member_line, random_traceless
-from test_flat_kernels import view
+from test_flat_kernels import mat_mul, view
 
 COUNTS = {OrbitClass.OPEN0: (3, 0, False), OrbitClass.CODIM1: (1, 1, False),
           OrbitClass.CODIM2: (0, 1, False), OrbitClass.CODIM4: (0, 0, True)}

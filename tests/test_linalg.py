@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 
 from jordanred.gaussrat import GR_ONE, GR_ZERO, gr, to_numerators
-from jordanred.linalg import RowSpan, invert, mat_mul, nullspace, rank, rank_numerators, rref
-from test_flat_kernels import ref_rank, ref_rref
+from jordanred.linalg import RowSpan, invert, nullspace, rank, rank_numerators, rref
+from test_flat_kernels import mat_mul, ref_rank, ref_rref
 
 
 def frac_matrix(rows):

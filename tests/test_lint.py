@@ -1,11 +1,13 @@
 """Source rules that hold for the whole package."""
 
 import ast
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
 
 import jordanred
+from jordanred.algebra import ALG_R
 
 SRC = Path(jordanred.__file__).resolve().parent
 
@@ -35,3 +37,16 @@ def test_every_top_level_definition_is_used():
                 unused.append("%s:%s" % (path.name, node.name))
     assert (root / "perfbench").is_dir()
     assert not unused, unused
+
+
+def test_every_benchmarked_build_is_a_package_table():
+    """Each cold build that perfbench/setup_probe.py times still exists and builds."""
+    path = SRC.parents[1] / "perfbench" / "setup_probe.py"
+    spec = importlib.util.spec_from_file_location("setup_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.BUILDERS
+    for module, fn in probe.BUILDERS:
+        build = getattr(importlib.import_module("jordanred." + module), fn)
+        assert callable(build)
+        build(ALG_R)

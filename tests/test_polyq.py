@@ -89,6 +89,8 @@ def test_squarefree_decomposition():
 def test_integer_helpers():
     assert integer_divisors(12) == [1, 2, 3, 4, 6, 12]
     assert integer_divisors(-7) == [1, 7]
+    with pytest.raises(ValueError):
+        integer_divisors(0)
     assert set(rational_roots_of_int_poly([6, -5, 1])) == {Fraction(2), Fraction(3)}
     assert Fraction(1, 2) in rational_roots_of_int_poly([-1, 0, 4])
 

@@ -9,7 +9,6 @@ from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
                               inner, jordan_mul, sigma1, sigma2)
 from jordanred.liealg import apply_j0_linear, bform_gram, random_unipotent, so3a_basis
-from jordanred.linalg import mat_mul
 from jordanred.reductions import (OrbitClass, ReductionLine,
                                   available_orbits, classify_orbit,
                                   eval_cubic_ab, eval_cubic_theta, in_ker_pi,
@@ -23,7 +22,7 @@ from jordanred.sampling import (make_rng, random_member_line,
                                 random_pierce_triple,
                                 random_projected_rank_one, random_square_zero,
                                 random_traceless)
-from test_flat_kernels import view
+from test_flat_kernels import mat_mul, view
 
 KER_PI_DIMS = {1: 7, 2: 20, 4: 70, 8: 273}
 
