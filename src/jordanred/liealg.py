@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .algebra import AlgebraTag, AlgElement, mult_table
+from .algebra import AlgebraTag, AlgElement, mult_table, structure_constants
 from .gaussrat import (GaussRational, from_numerators, mat_mat, mat_vec, normalize_matrix,
                        to_numerators)
 from .jordan import JordanMatrix, _slots, inner
@@ -257,8 +257,9 @@ class So3AOperator:
                 full[k][lo[i] + p] += 2 * s * v
                 full[lo[i] + p][j] += s * v
                 full[lo[i] + p][k] -= s * v
-            add_block(j, k, s, _int_matrix(right_mult_matrix(elt)), conj)
-            add_block(k, j, -s, _int_matrix(left_mult_matrix(elt)), conj)
+            left, right = mult_matrices(elt)
+            add_block(j, k, s, right, conj)
+            add_block(k, j, -s, left, conj)
         self.full = tuple(map(tuple, full))
         rows = [full[0], [-v for v in full[2]]] + full[3:]
         self.matrix = tuple((r[0] - r[1], r[1] - r[2]) + tuple(r[3:]) for r in rows)
@@ -414,23 +415,24 @@ def bracket_in_span(tag: AlgebraTag, i: int, j: int) -> bool:
 # -- the Der(A) + Im(A)^2 presentation, as an independent cross-check -------------
 
 
-def left_mult_matrix(z: AlgElement):
-    a = z.tag.dim
-    cols = [(z * AlgElement.basis(z.tag, j)).coords for j in range(a)]
-    return [[cols[j][i] for j in range(a)] for i in range(a)]
+def mult_matrices(z: AlgElement):
+    """The integer matrices (L_z, R_z) of left and right multiplication by z.
 
-
-def right_mult_matrix(z: AlgElement):
-    a = z.tag.dim
-    cols = [(AlgElement.basis(z.tag, j) * z).coords for j in range(a)]
-    return [[cols[j][i] for j in range(a)] for i in range(a)]
-
-
-def _int_matrix(m):
-    """A matrix of GaussRational entries as ints; a non-integral entry raises."""
-    if any(v.d != 1 or v.ni for row in m for v in row):
+    Read off the structure constants: e_i e_j = sign e_k puts sign z_i at
+    L_z[k][j] and sign z_j at R_z[k][i].  Every coordinate of z is an entry
+    of both, so a fractional or imaginary coordinate raises ValueError.
+    """
+    if z.d != 1 or any(z.ni):
         raise ValueError("matrix has an entry that is not an integer")
-    return tuple(tuple(v.nr for v in row) for row in m)
+    a, nr = z.tag.dim, z.nr
+    left = [[0] * a for _ in range(a)]
+    right = [[0] * a for _ in range(a)]
+    for k, pairs in enumerate(structure_constants(a)):
+        for sign, terms in zip((1, -1), pairs):
+            for i, j in terms:
+                left[k][j] += sign * nr[i]
+                right[k][i] += sign * nr[j]
+    return tuple(map(tuple, left)), tuple(map(tuple, right))
 
 
 def _mat_lin(*terms):
@@ -455,8 +457,8 @@ def lr_triality_triple(u: AlgElement, v: AlgElement):
     """
     if not u.re().is_zero() or not v.re().is_zero():
         raise ValueError("arguments must be imaginary")
-    lu, ru = _int_matrix(left_mult_matrix(u)), _int_matrix(right_mult_matrix(u))
-    lv, rv = _int_matrix(left_mult_matrix(v)), _int_matrix(right_mult_matrix(v))
+    lu, ru = mult_matrices(u)
+    lv, rv = mult_matrices(v)
     return (
         _mat_lin((1, lu), (1, ru), (1, lv)),
         _mat_lin((1, lu), (1, lv), (1, rv)),
@@ -466,8 +468,8 @@ def lr_triality_triple(u: AlgElement, v: AlgElement):
 
 def standard_derivation(x: AlgElement, y: AlgElement):
     """D_{x,y} = [L_x, L_y] + [L_x, R_y] + [R_x, R_y], a derivation of A."""
-    lx, rx = _int_matrix(left_mult_matrix(x)), _int_matrix(right_mult_matrix(x))
-    ly, ry = _int_matrix(left_mult_matrix(y)), _int_matrix(right_mult_matrix(y))
+    lx, rx = mult_matrices(x)
+    ly, ry = mult_matrices(y)
     return _mat_lin((1, bracket_matrix(lx, ly)), (1, bracket_matrix(lx, ry)),
                     (1, bracket_matrix(rx, ry)))
 
@@ -553,14 +555,20 @@ def nilpotent_generators(tag: AlgebraTag):
 
 def random_unipotent(tag: AlgebraTag, rng, factors: int = 3):
     """A random product of exact unipotent automorphisms of J3(A), as a triple on J0."""
-    gens = nilpotent_generators(tag)
+    n = len(nilpotent_generators(tag))
     g = _identity(j0_dim(tag))
     for _ in range(factors):
-        re, im, d = gens[rng.randrange(len(gens))]
-        t = rng.choice((-2, -1, 1, 2))
-        scaled = [[[t * v for v in row] for row in part] for part in (re, im)]
-        g = mat_mat(g, exp_nilpotent((*scaled, d)))
+        j = rng.randrange(n)
+        g = mat_mat(g, _unipotent_factor(tag, j, rng.choice((-2, -1, 1, 2))))
     return g
+
+
+@lru_cache(maxsize=None)
+def _unipotent_factor(tag: AlgebraTag, j: int, t: int):
+    """exp(t N_j) for the nilpotent generator N_j of `nilpotent_generators`."""
+    re, im, d = nilpotent_generators(tag)[j]
+    return exp_nilpotent(([[t * v for v in row] for row in re],
+                          [[t * v for v in row] for row in im], d))
 
 
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:

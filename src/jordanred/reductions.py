@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from .algebra import AlgebraTag, AlgElement
 from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators,
-                       mat_vec, to_numerators)
+                       mat_vec, normalize, to_numerators)
 from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
@@ -26,9 +26,17 @@ from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
 
 
 class ReductionLine:
-    """An ordered pair of independent traceless matrices spanning a 2-plane."""
+    """An ordered pair of independent traceless matrices spanning a 2-plane.
 
-    __slots__ = ("X", "Y")
+    X and Y are read-only, so a line is an immutable value.  A line memoizes
+    two results about itself: its membership verdict and, once it is known
+    to be a member, its `SeveriPointReport`.  Each is computed on first use
+    and read back after that; a computation that raises stores nothing.
+    Two threads sharing a line may both compute a result, but they store
+    equal values, so a line is safe to use concurrently.
+    """
+
+    __slots__ = ("_X", "_Y", "_member", "_severi")
 
     def __init__(self, X: JordanMatrix, Y: JordanMatrix):
         if X.tag != Y.tag:
@@ -37,12 +45,22 @@ class ReductionLine:
             raise ValueError("spanning matrices must be traceless")
         if not _independent(j0_numerators(X), j0_numerators(Y)):
             raise ValueError("spanning matrices must be linearly independent")
-        self.X = X
-        self.Y = Y
+        self._X = X
+        self._Y = Y
+        self._member = None
+        self._severi = None
+
+    @property
+    def X(self) -> JordanMatrix:
+        return self._X
+
+    @property
+    def Y(self) -> JordanMatrix:
+        return self._Y
 
     @property
     def tag(self) -> AlgebraTag:
-        return self.X.tag
+        return self._X.tag
 
     def basis_change(self, a, b, c, d) -> "ReductionLine":
         """The same plane spanned by (aX + bY, cX + dY); (a,b;c,d) invertible."""
@@ -96,9 +114,13 @@ def membership(line: ReductionLine) -> bool:
     """Whether the plane is a point of the variety of reductions.
 
     Stops at the first pairing with a nonzero real or imaginary numerator.
+    The verdict is memoized on the line.
     """
-    re, im, _ = _wedge_numerators(line.tag, j0_numerators(line.X), j0_numerators(line.Y))
-    return not any(a or b for a, b in pi_pairings(line.tag, re, im))
+    if line._member is None:
+        re, im, _ = _wedge_numerators(line.tag, j0_numerators(line.X),
+                                      j0_numerators(line.Y))
+        line._member = not any(a or b for a, b in pi_pairings(line.tag, re, im))
+    return line._member
 
 
 def _require_member(line: ReductionLine) -> None:
@@ -219,12 +241,31 @@ def wedge_of(X: JordanMatrix, Y: JordanMatrix):
                                                     j0_numerators(Y))))
 
 
+@lru_cache(maxsize=None)
+def _bform_inverse_terms(tag: AlgebraTag):
+    """(rows, d): the nonzero entries (k, re, im) of each row of B^-1 over d."""
+    br, bi, bd = bform_inverse(tag)
+    return tuple(tuple((k, a, b) for k, (a, b) in enumerate(zip(ra, rb)) if a or b)
+                 for ra, rb in zip(br, bi)), bd
+
+
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge tensors."""
+    """Extension of the projection to arbitrary wedge tensors.
+
+    B^-1 is applied over its nonzero entries only; for O it is diagonal.
+    """
     re, im, d = to_numerators(w)
     vr, vi = zip(*pi_pairings(tag, re, im))
-    br, bi, bd = bform_inverse(tag)
-    return LieCombo(tag, from_numerators(*mat_vec(br, vr, vi, bd * d, bi)))
+    rows, bd = _bform_inverse_terms(tag)
+    out_re, out_im = [], []
+    for terms in rows:
+        a = b = 0
+        for k, p, q in terms:
+            a += p * vr[k] - q * vi[k]
+            b += p * vi[k] + q * vr[k]
+        out_re.append(a)
+        out_im.append(b)
+    return LieCombo(tag, from_numerators(*normalize(out_re, out_im, bd * d)))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
@@ -455,8 +496,16 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
 
 
 def _severi_points(line: ReductionLine) -> SeveriPointReport:
-    """severi_points_on_line for a line already known to be a member."""
-    X, Y = line.X, line.Y
+    """severi_points_on_line for a line already known to be a member.
+
+    The report is memoized on the line.
+    """
+    if line._severi is None:
+        line._severi = _find_severi_points(line.X, line.Y)
+    return line._severi
+
+
+def _find_severi_points(X: JordanMatrix, Y: JordanMatrix) -> SeveriPointReport:
     mc, nc, sq = _pencil_polys(X, Y)
     g = _rank_one_gcd(mc, nc)
     if g is None:

@@ -10,7 +10,8 @@ tangent rows and the `PolyQi` minors loop on `j0_coords`, the matrix
 product, nilpotency test and exponential, the Gauss-Jordan elimination that
 `linalg.RowSpan` ran before its rows held integer numerators, and the
 slot-wise action of the so3(A) operators before each became one integer
-matrix, all in GaussRational and AlgElement arithmetic.
+matrix, and the multiplication matrices L_z and R_z read back from products
+with the basis, all in GaussRational and AlgElement arithmetic.
 """
 
 import random
@@ -26,8 +27,8 @@ from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numer
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
 from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, exp_nilpotent,
                               is_nilpotent, j0_basis, j0_coords, j0_dim, j0_numerators,
-                              nilpotent_generators, random_unipotent, so3a_basis,
-                              so3a_matrices, triality_basis)
+                              mult_matrices, nilpotent_generators, random_unipotent,
+                              so3a_basis, so3a_matrices, triality_basis)
 from jordanred.linalg import rank_numerators
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
@@ -292,6 +293,20 @@ def ref_operator_matrix(tag, components):
         assert d == 1 and not any(ni)
         cols.append(nr)
     return tuple(zip(*cols))
+
+
+def left_mult_matrix(z):
+    """L_z in GaussRational entries, column j the product z e_j."""
+    a = z.tag.dim
+    cols = [(z * AlgElement.basis(z.tag, j)).coords for j in range(a)]
+    return [[cols[j][i] for j in range(a)] for i in range(a)]
+
+
+def right_mult_matrix(z):
+    """R_z in GaussRational entries, column j the product e_j z."""
+    a = z.tag.dim
+    cols = [(AlgElement.basis(z.tag, j) * z).coords for j in range(a)]
+    return [[cols[j][i] for j in range(a)] for i in range(a)]
 
 
 def basis_components(tag):
@@ -564,7 +579,7 @@ def test_unipotent_products_match_the_scalar_loops(tag):
     assert not is_nilpotent(as_triple(not_nilpotent)) and not ref_is_nilpotent(not_nilpotent)
     with pytest.raises(ValueError):
         exp_nilpotent(as_triple(not_nilpotent))
-    for factors in (1, 3):
+    for factors in (1, 3, 8):
         seed = 60 + factors
         got = random_unipotent(tag, random.Random(seed), factors)
         assert _fields(view(got)) == \
@@ -632,3 +647,21 @@ def test_a_fractional_or_imaginary_slot_generator_raises(tag):
         for a1 in (e.scale(Fraction(1, 2)), e.scale(GR_I)):
             with pytest.raises(ArithmeticError):
                 So3AOperator(tag, a1=a1)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_multiplication_matrices_match_the_basis_products(tag):
+    """The integer L_z, R_z equal the matrices read back from z e_j and e_j z."""
+    rng = make_rng(100 + ALL_TAGS.index(tag))
+    zs = [AlgElement.basis(tag, k) for k in range(tag.dim)]
+    zs += [AlgElement(tag, [rng.randint(-9, 9) for _ in range(tag.dim)]) for _ in range(3)]
+    zs.append(AlgElement(tag, [rng.randint(-10 ** 8, 10 ** 8) for _ in range(tag.dim)]))
+    for z in zs:
+        left, right = mult_matrices(z)
+        assert [[GaussRational(v) for v in row] for row in left] == left_mult_matrix(z)
+        assert [[GaussRational(v) for v in row] for row in right] == right_mult_matrix(z)
+    for k in range(tag.dim):
+        e = AlgElement.basis(tag, k)
+        for z in (e.scale(Fraction(1, 2)), e.scale(GR_I)):
+            with pytest.raises(ValueError):
+                mult_matrices(z)

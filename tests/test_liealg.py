@@ -8,7 +8,6 @@ from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               bform_inverse, bracket_in_span,
                               is_nilpotent, j0_basis, j0_coords, j0_dim,
-                              left_mult_matrix,
                               j0_from_coords, j0_from_numerators, j0_gram,
                               j0_numerators, lr_triality_triple,
                               nilpotent_generators, random_unipotent,
@@ -17,7 +16,7 @@ from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               triality_identity_holds)
 from jordanred.linalg import RowSpan, rank
 from jordanred.sampling import make_rng, random_jordan, random_traceless
-from test_flat_kernels import view
+from test_flat_kernels import left_mult_matrix, view
 
 T_DIMS = {1: 0, 2: 2, 4: 9, 8: 28}
 

@@ -1,8 +1,9 @@
-"""Source rules that hold for the whole package."""
+"""Source rules that hold for the whole package, and what the benchmark needs of it."""
 
 import ast
 import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -39,14 +40,37 @@ def test_every_top_level_definition_is_used():
     assert not unused, unused
 
 
-def test_every_benchmarked_build_is_a_package_table():
+def perfbench_module(name, monkeypatch):
+    """The module perfbench/<name>.py, loaded from its file.
+
+    It sits in sys.modules under its own name until the test ends, so that
+    its dataclasses resolve and the other perfbench modules can import it.
+    """
+    path = SRC.parents[1] / "perfbench" / ("%s.py" % name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmarked_build_is_a_package_table(monkeypatch):
     """Each cold build that perfbench/setup_probe.py times still exists and builds."""
-    path = SRC.parents[1] / "perfbench" / "setup_probe.py"
-    spec = importlib.util.spec_from_file_location("setup_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    probe = perfbench_module("setup_probe", monkeypatch)
     assert probe.BUILDERS
     for module, fn in probe.BUILDERS:
         build = getattr(importlib.import_module("jordanred." + module), fn)
         assert callable(build)
         build(ALG_R)
+
+
+def test_two_benchmark_line_groups_come_out_right(monkeypatch):
+    """perfbench/lines.py's run_line checks every line of two orbit_stream groups."""
+    spans = perfbench_module("spans", monkeypatch)
+    lines = perfbench_module("lines", monkeypatch)
+    stream = lines.LineStream("orbit_stream", 1)
+    tracer = spans.Tracer(enabled=False)
+    results = [lines.run_line(wl, tracer, "smoke") for _ in range(2)
+               for wl in stream.next_group()]
+    assert [r.orbit for r in results] == list(lines.ORBITS) * 2
+    assert all(r.ok for r in results), [r.outcome for r in results]

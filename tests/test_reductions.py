@@ -341,6 +341,85 @@ def test_each_entry_point_checks_membership_once(orbit, monkeypatch):
         assert len(calls) == 1, entry.__name__
 
 
+# -- what a line remembers about itself ---------------------------------------------------
+
+# The benchmark's order: membership, orbit, rank-one points, tangent dimension.
+ENTRY_POINTS = (membership, classify_orbit, severi_points_on_line, tangent_dim)
+
+
+def moved_representative(tag, orbit):
+    """The orbit representative moved by a seeded unipotent and a basis change."""
+    g = random_unipotent(tag, make_rng(31 + ALL_TAGS.index(tag)), factors=2)
+    rep = representative(tag, orbit)
+    return ReductionLine(apply_j0_linear(tag, g, rep.X),
+                         apply_j0_linear(tag, g, rep.Y)).basis_change(2, -1, 1, 1)
+
+
+@pytest.mark.parametrize("order", ("benchmark", "reverse"))
+@pytest.mark.parametrize("tag, orbit", [(t, o) for t in ALL_TAGS for o in available_orbits(t)],
+                         ids=lambda v: v.value if isinstance(v, OrbitClass) else str(v))
+def test_a_line_computes_its_wedge_and_pencil_once(tag, orbit, order, monkeypatch):
+    """Four entry points, each called twice, build the wedge and the pencil once,
+    and every answer equals the answer on a freshly built line."""
+    calls = {"_wedge_numerators": 0, "_pencil_polys": 0}
+
+    def counted(name):
+        real = getattr(reductions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reductions, name, counted(name))
+    entries = ENTRY_POINTS if order == "benchmark" else ENTRY_POINTS[::-1]
+    line = moved_representative(tag, orbit)
+    first = [entry(line) for entry in entries]
+    assert [entry(line) for entry in entries] == first
+    assert calls == {"_wedge_numerators": 1, "_pencil_polys": 1}
+    assert [entry(moved_representative(tag, orbit)) for entry in entries] == first
+    assert first[entries.index(classify_orbit)] == orbit
+    assert first[entries.index(tangent_dim)] == 3 * tag.dim
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_a_non_member_raises_from_every_entry_point_on_every_call(tag):
+    line = off_diag_perturbation(tag)
+    for _ in range(2):
+        assert membership(line) is False
+        for entry in ENTRY_POINTS[1:]:
+            with pytest.raises(ValueError):
+                entry(line)
+
+
+@pytest.mark.parametrize("orbit", [OrbitClass.OPEN0, OrbitClass.CODIM4],
+                         ids=lambda o: o.value)
+def test_a_rank_one_search_that_raised_is_not_remembered(orbit, monkeypatch):
+    line = representative(ALG_C, orbit)
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "classify_severi", lambda m: (SeveriClass.NONE, None))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                severi_points_on_line(line)
+    rep = severi_points_on_line(line)
+    assert (rep.count_general(), rep.count_special(), rep.whole_line) == SEVERI_COUNTS[orbit]
+    assert classify_orbit(line) == orbit
+
+
+def test_the_spanning_matrices_are_read_only():
+    line = representative(ALG_C, OrbitClass.CODIM1)
+    X, Y = line.X, line.Y
+    assert membership(line)
+    for name in ("X", "Y"):
+        with pytest.raises(AttributeError):
+            setattr(line, name, X + Y)
+    assert line.X is X and line.Y is Y
+    moved = line.basis_change(1, 1, 0, 1)
+    assert moved is not line and (moved.X, moved.Y) == (X + Y, Y)
+    assert classify_orbit(moved) == OrbitClass.CODIM1
+
+
 def square_line(x):
     """span{X, X o X - (Q/3) I}: a member for every traceless X.
 
