@@ -160,8 +160,9 @@ def mul_numerators(dim: int, xr, xi, yr, yi):
 class FlatVector:
     """A flat Q(i) vector over an algebra: numerators nr, ni over d, normalised.
 
-    The linear structure, equality and hashing shared by `AlgElement` and
-    `JordanMatrix`; subclasses give the coordinates their meaning.
+    The linear structure, equality and hashing shared by `AlgElement`,
+    `JordanMatrix` and `liealg.LieCombo`; subclasses give the coordinates
+    their meaning.
     """
 
     __slots__ = ("tag", "nr", "ni", "d")

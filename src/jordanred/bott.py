@@ -67,10 +67,7 @@ class TorusCharacter:
     def permuted(self, perm) -> "TorusCharacter":
         out = TorusCharacter()
         for m, k in self.terms.items():
-            pm = [0, 0, 0]
-            for idx in range(3):
-                pm[perm[idx]] = m[idx]
-            out.add(tuple(pm), k)
+            out.add(_permute_mono(m, perm), k)
         return out
 
     def __repr__(self):

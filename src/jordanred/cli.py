@@ -18,7 +18,7 @@ from typing import List, Optional
 from . import bott as bott_mod
 from . import chow
 from .algebra import ALL_TAGS, AlgElement, qbilin, tag_by_name
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational
+from .gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
 from .jordan import (JordanMatrix, cayley_hamilton_residual,
                      classify_severi, det, det3, discriminant, inner,
                      is_rank_one, jordan_mul, jordan_mul_full, rank_one_lift,
@@ -264,7 +264,7 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
                 basis.append(JordanMatrix(tag, (0, 0, 0), tuple(xs)))
         gram = [[inner(a, b) for b in basis] for a in basis]
         rep.add("%s: trace form is nondegenerate on J3(A)" % tag,
-                3 * tag.dim + 3, rank(gram), "derived")
+                3 * tag.dim + 3, rank(to_numerators(row)[:2] for row in gram), "derived")
         ok = True
         for _ in range(10):
             A, B = random_jordan(tag, rng), random_jordan(tag, rng)
@@ -466,15 +466,16 @@ BETTI_TABLES = {
     4: [1, 1, 2, 3, 4, 5, 5, 5, 4, 3, 2, 1, 1],
     8: [1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 8, 9, 9, 9, 8, 8, 7, 6, 5, 4, 3, 2, 2, 1, 1],
 }
-EULERS = {1: 4, 2: 13, 4: 37, 8: 121}
 
 
 def build_betti(a: int) -> Report:
     rep = Report("betti", {"a": a})
     table, euler, fc = chow.topology(a)
+    # the odd Betti numbers vanish, so the Euler number is the sum of the even ones
+    reference_euler = sum(BETTI_TABLES[a])
     rep.add("even Betti numbers", BETTI_TABLES[a], list(table.numbers), "reference")
-    rep.add("Euler characteristic", EULERS[a], euler, "reference")
-    rep.add("torus fixed-point count", EULERS[a], fc, "reference")
+    rep.add("Euler characteristic", reference_euler, euler, "reference")
+    rep.add("torus fixed-point count", reference_euler, fc, "reference")
     rep.add_bool("Poincare symmetry", table.is_symmetric(), "derived")
     return rep
 

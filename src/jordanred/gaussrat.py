@@ -14,10 +14,12 @@ scalars (and vectors) over their least common denominator, `from_numerators`
 reads the scalars back and `normalize` restores the gcd condition; `mat_vec`
 applies a Gaussian integer matrix to a vector and `bilinear` sums products
 of coordinates, both on the numerators.  `normalize_matrix` and `mat_mat`
-normalise and multiply matrix triples.  `AlgElement`, `JordanMatrix`, J0
-coordinates and wedge tensors enter the layout through `to_numerators` and
-leave it through `from_numerators`; the unipotent automorphisms, B^-1 and
-realized Lie combinations of `liealg` are matrix triples throughout.
+normalise and multiply matrix triples.  Scalars enter the layout through
+`to_numerators` and views leave it through `from_numerators`.  Between
+modules every vector is a triple (re, im, d): algebra elements, Jordan
+matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg` and the
+coefficients of a `LieCombo`; the inverse from `linalg`, the unipotent
+automorphisms and realized Lie combinations are matrix triples.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.

@@ -23,11 +23,11 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .algebra import AlgebraTag, AlgElement, mult_table, structure_constants
-from .gaussrat import (GaussRational, from_numerators, mat_mat, mat_vec, normalize_matrix,
+from .algebra import AlgebraTag, AlgElement, FlatVector, mult_table, structure_constants
+from .gaussrat import (from_numerators, mat_mat, mat_vec, normalize, normalize_matrix,
                        to_numerators)
 from .jordan import JordanMatrix, _slots, inner
-from .linalg import RowSpan, invert, nullspace, rank_numerators
+from .linalg import RowSpan, invert, nullspace, rank
 
 
 # -- the basis of J0 -----------------------------------------------------------
@@ -137,6 +137,7 @@ def triality_basis(tag: AlgebraTag):
         return out
 
     rows = []
+    zero = (0,) * (3 * s)
     for i in range(a):
         for j in range(a):
             k, sg = table[i][j]
@@ -154,12 +155,10 @@ def triality_basis(tag: AlgebraTag):
                         blocks[r][s + m] -= col2[r]
                     if col3[r]:
                         blocks[r][2 * s + m] -= col3[r]
-            rows.extend(blocks)
-    kernel = nullspace(rows, 3 * s)
+            rows.extend((block, zero) for block in blocks)
     triples = []
-    for vec in kernel:
-        # vec is 1 at its free column, so its numerators over the lcm are coprime
-        ints = to_numerators(vec)[0]
+    # each kernel vector is real, and its numerators are an integer multiple of it
+    for ints, _, _ in nullspace(rows, 3 * s):
         mats = []
         for block in range(3):
             m = [[0] * a for _ in range(a)]
@@ -319,38 +318,40 @@ def bform_gram(tag: AlgebraTag):
 @lru_cache(maxsize=None)
 def bform_inverse(tag: AlgebraTag):
     """B^-1 as a matrix triple (re rows, im rows, d)."""
-    inv = invert(bform_gram(tag))
-    n = len(inv)
-    re, im, d = to_numerators(v for row in inv for v in row)
-    return (tuple(re[k:k + n] for k in range(0, n * n, n)),
-            tuple(im[k:k + n] for k in range(0, n * n, n)), d)
+    g = bform_gram(tag)
+    zero = (0,) * len(g)
+    return invert([(row, zero) for row in g])
 
 
-class LieCombo:
-    """A linear combination of the so3(A) basis operators."""
+class LieCombo(FlatVector):
+    """A linear combination of the so3(A) basis operators.
 
-    __slots__ = ("tag", "coeffs")
+    The coefficients are one flat Q(i) vector (nr + i ni)/d, normalised here;
+    `coeffs` is a read-only view of them as GaussRational scalars.
+    """
 
-    def __init__(self, tag: AlgebraTag, coeffs):
+    __slots__ = ()
+
+    def __init__(self, tag: AlgebraTag, nr, ni, d: int):
         self.tag = tag
-        self.coeffs = tuple(GaussRational(c) if not isinstance(c, GaussRational) else c
-                            for c in coeffs)
+        self.nr, self.ni, self.d = normalize(nr, ni, d)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of GaussRational scalars (a view)."""
+        return tuple(from_numerators(self.nr, self.ni, self.d))
 
     def realized(self):
         """The combination as one matrix triple (re rows, im rows, d) on J0."""
-        cr, ci, d = to_numerators(self.coeffs)
         n = j0_dim(self.tag)
         re = [[0] * n for _ in range(n)]
         im = [[0] * n for _ in range(n)]
-        for a, b, m in zip(cr, ci, so3a_matrices(self.tag)):
+        for a, b, m in zip(self.nr, self.ni, so3a_matrices(self.tag)):
             if a or b:
                 for i, row in enumerate(m):
                     re[i] = [x + a * v for x, v in zip(re[i], row)]
                     im[i] = [y + b * v for y, v in zip(im[i], row)]
-        return normalize_matrix(re, im, d)
+        return normalize_matrix(re, im, self.d)
 
 
 # -- stabilizers and orbit dimensions -------------------------------------------
@@ -368,7 +369,7 @@ def stabilizer_dims(X: JordanMatrix):
     nr, ni, d = j0_numerators(X)
     ops = so3a_basis(tag)
     # the numerators of each image u X: a nonzero multiple of it, so the rank is kept
-    r = rank_numerators(mat_vec(op.matrix, nr, ni, d)[:2] for op in ops)
+    r = rank(mat_vec(op.matrix, nr, ni, d)[:2] for op in ops)
     return len(ops) - r, r, j0_dim(tag) - r
 
 
@@ -397,19 +398,21 @@ def bracket_matrix(m1, m2):
     return out
 
 
-def _flatten(mat):
-    return [v for row in mat for v in row]
+def _flat_row(mat):
+    """An integer matrix flattened to one real numerator row (re, im)."""
+    re = [v for row in mat for v in row]
+    return re, [0] * len(re)
 
 
 @lru_cache(maxsize=None)
 def operator_span(tag: AlgebraTag) -> RowSpan:
     """Span of the flattened realized so3(A) operators."""
-    return RowSpan(_flatten(m) for m in so3a_matrices(tag))
+    return RowSpan(_flat_row(m) for m in so3a_matrices(tag))
 
 
 def bracket_in_span(tag: AlgebraTag, i: int, j: int) -> bool:
     mats = so3a_matrices(tag)
-    return operator_span(tag).contains(_flatten(bracket_matrix(mats[i], mats[j])))
+    return operator_span(tag).contains(*_flat_row(bracket_matrix(mats[i], mats[j])))
 
 
 # -- the Der(A) + Im(A)^2 presentation, as an independent cross-check -------------

@@ -1,21 +1,21 @@
 """Exact linear algebra over Q(i): one Gauss-Jordan kernel on integer numerators.
 
-`RowSpan` holds the reduced row echelon form of the vectors added so far.
-Each reduced row is kept in the numerator layout of `gaussrat`: a sparse map
-from column to the Gaussian integer numerator (re, im), over one row
-denominator d, with the numerator at the pivot equal to (d, 0).  Elimination
-uses integer arithmetic only.  Vectors enter through `add_numerators` as
-integer numerator sequences; `add` and `contains` first put Q(i) scalars
-(GaussRational, Fraction or int) in that layout with `gaussrat.to_numerators`.
-`rank`, `rref`, `nullspace` and `invert` are views of the span, and return
-GaussRational entries.
+Rows and results are in the numerator layout of `gaussrat`.  A row enters
+as a pair (re, im) of integer numerator sequences, standing for the row
+re + i im; a row over a denominator enters as its numerators, and a real
+row with im all zero.  `RowSpan` holds the reduced row echelon form of the
+rows added so far, and `rank` is its dimension; neither depends on a
+nonzero factor of a row.  `nullspace` returns one normalised triple
+(re, im, d) per kernel vector and `invert` the inverse of the integer
+matrix as one normalised matrix triple (re rows, im rows, d).  Elimination
+uses integer arithmetic only.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
+from .gaussrat import normalize, normalize_matrix
 
 
 def _sparse(re, im):
@@ -75,10 +75,10 @@ class RowSpan:
     row is primitive: d and its numerators have no common factor.
     """
 
-    def __init__(self, vectors=()):
+    def __init__(self, rows=()):
         self.rows = {}
-        for v in vectors:
-            self.add(v)
+        for re, im in rows:
+            self.add(re, im)
 
     def _reduce(self, v) -> dict:
         """v modulo the span, up to a nonzero integer factor, with content removed."""
@@ -88,8 +88,8 @@ class RowSpan:
         g = _content(v)
         return _divide(v, g) if g > 1 else v
 
-    def add_numerators(self, re, im) -> bool:
-        """Add the vector with integer numerators re + i im (over any denominator).
+    def add(self, re, im) -> bool:
+        """Add the row with integer numerators re + i im (over any denominator).
 
         Returns True if it enlarged the span.  A new pivot row is divided by
         its pivot a + bi by multiplying by a - bi, over a^2 + b^2; every
@@ -122,79 +122,55 @@ class RowSpan:
         rows[p] = (v, d)
         return True
 
-    def add(self, vec) -> bool:
-        """Add a vector of Q(i) scalars; returns True if it enlarged the span."""
-        return self.add_numerators(*to_numerators(vec)[:2])
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(_sparse(*to_numerators(vec)[:2]))
+    def contains(self, re, im) -> bool:
+        """Whether the row with integer numerators re + i im lies in the span."""
+        return not self._reduce(_sparse(re, im))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def rank_numerators(rows) -> int:
-    """Rank of a matrix given by rows of integer numerator pairs (re, im)."""
-    span = RowSpan()
-    for re, im in rows:
-        span.add_numerators(re, im)
-    return span.dim
-
-
 def rank(rows) -> int:
-    """Rank of a matrix given as a list of rows of Q(i) scalars."""
+    """Rank of a matrix given by rows of integer numerator pairs (re, im)."""
     return RowSpan(rows).dim
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = list(rows)
-    span = RowSpan(rows)
-    pivots = sorted(span.rows)
-    out = []
-    for p in pivots:
-        row, d = span.rows[p]
-        vec = [GR_ZERO] * len(rows[0])
-        for j, (a, b) in row.items():
-            vec[j] = GaussRational._make(a, b, d)
-        out.append(vec)
-    return out, pivots
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel of the matrix, as a list of vectors.
+def nullspace(rows, ncols: int):
+    """Basis of the right kernel of the matrix with ncols columns, as triples.
 
     The vectors are the canonical kernel basis read off the reduced row
     echelon form: one per free column, 1 there and 0 at the other free
-    columns.
+    columns, each as a normalised triple (re, im, d).
     """
-    rows = list(rows)
-    if rows:
-        ncols = len(rows[0])
-    if ncols is None:
-        raise ValueError("empty matrix needs an explicit column count")
     span = RowSpan(rows)
     basis = []
     for fc in range(ncols):
         if fc in span.rows:
             continue
-        v = [GR_ZERO] * ncols
-        v[fc] = GR_ONE
-        for p, (row, d) in span.rows.items():
-            if fc in row:
-                a, b = row[fc]
-                v[p] = GaussRational._make(-a, -b, d)
-        basis.append(v)
+        # -row[fc]/d at each pivot whose row meets fc, over the lcm of those d
+        terms = [(p, row[fc], d) for p, (row, d) in span.rows.items() if fc in row]
+        den = lcm(*(d for _, _, d in terms))
+        re, im = [0] * ncols, [0] * ncols
+        re[fc] = den
+        for p, (a, b), d in terms:
+            re[p], im[p] = -a * (den // d), -b * (den // d)
+        basis.append(normalize(re, im, den))
     return basis
 
 
 def invert(rows):
-    """Inverse of a small square matrix over Q(i): rref of [A | I]."""
+    """Inverse of a square integer matrix, as a matrix triple: rref of [A | I]."""
     n = len(rows)
-    red, pivots = rref([list(r) + [int(i == j) for j in range(n)]
-                        for i, r in enumerate(rows)])
-    if pivots[n - 1] != n - 1:
+    span = RowSpan((list(re) + [int(i == j) for j in range(n)], list(im) + [0] * n)
+                   for i, (re, im) in enumerate(rows))
+    if any(p not in span.rows for p in range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in red]
-
+    den = lcm(*(span.rows[p][1] for p in range(n)))
+    out_re, out_im = [], []
+    for p in range(n):
+        row, d = span.rows[p]
+        f = den // d
+        out_re.append([row.get(j, (0, 0))[0] * f for j in range(n, 2 * n)])
+        out_im.append([row.get(j, (0, 0))[1] * f for j in range(n, 2 * n)])
+    return normalize_matrix(out_re, out_im, den)

@@ -15,13 +15,13 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .algebra import AlgebraTag, AlgElement
-from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators,
-                       mat_vec, normalize, to_numerators)
+from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, mat_vec, normalize,
+                       to_numerators)
 from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_severi,
                      discriminant, inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
                      so3a_matrices)
-from .linalg import nullspace, rank_numerators
+from .linalg import nullspace, rank
 from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
 
 
@@ -113,13 +113,11 @@ def membership_values(X: JordanMatrix, Y: JordanMatrix) -> List[GaussRational]:
 def membership(line: ReductionLine) -> bool:
     """Whether the plane is a point of the variety of reductions.
 
-    Stops at the first pairing with a nonzero real or imaginary numerator.
     The verdict is memoized on the line.
     """
     if line._member is None:
-        re, im, _ = _wedge_numerators(line.tag, j0_numerators(line.X),
-                                      j0_numerators(line.Y))
-        line._member = not any(a or b for a, b in pi_pairings(line.tag, re, im))
+        line._member = in_ker_pi(line.tag, _wedge_numerators(
+            line.tag, j0_numerators(line.X), j0_numerators(line.Y)))
     return line._member
 
 
@@ -212,9 +210,10 @@ def ker_pi_dim(tag: AlgebraTag) -> int:
 
 @lru_cache(maxsize=None)
 def ker_pi_basis(tag: AlgebraTag):
-    """Rational basis of the kernel of the projection, as wedge coordinates."""
-    return tuple(tuple(v) for v in nullspace(pi_functional_matrix(tag),
-                                             len(wedge_pairs(tag))))
+    """Basis of the kernel of the projection, as wedge triples (re, im, d)."""
+    width = len(wedge_pairs(tag))
+    zero = (0,) * width
+    return tuple(nullspace([(row, zero) for row in pi_functional_matrix(tag)], width))
 
 
 def _wedge_numerators(tag: AlgebraTag, x, y):
@@ -236,9 +235,8 @@ def _wedge_numerators(tag: AlgebraTag, x, y):
 
 
 def wedge_of(X: JordanMatrix, Y: JordanMatrix):
-    """Coordinates of X wedge Y over the wedge pairs of the J0 basis."""
-    return tuple(from_numerators(*_wedge_numerators(X.tag, j0_numerators(X),
-                                                    j0_numerators(Y))))
+    """X wedge Y over the wedge pairs of the J0 basis, as a normalised triple."""
+    return normalize(*_wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y)))
 
 
 @lru_cache(maxsize=None)
@@ -250,11 +248,11 @@ def _bform_inverse_terms(tag: AlgebraTag):
 
 
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge tensors.
+    """Extension of the projection to arbitrary wedge triples (re, im, d).
 
     B^-1 is applied over its nonzero entries only; for O it is diagonal.
     """
-    re, im, d = to_numerators(w)
+    re, im, d = w
     vr, vi = zip(*pi_pairings(tag, re, im))
     rows, bd = _bform_inverse_terms(tag)
     out_re, out_im = [], []
@@ -265,11 +263,15 @@ def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
             b += p * vi[k] + q * vr[k]
         out_re.append(a)
         out_im.append(b)
-    return LieCombo(tag, from_numerators(*normalize(out_re, out_im, bd * d)))
+    return LieCombo(tag, out_re, out_im, bd * d)
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
-    re, im, _ = to_numerators(w)
+    """Whether every pi pairing of the wedge triple w vanishes.
+
+    Stops at the first pairing with a nonzero real or imaginary numerator.
+    """
+    re, im, _ = w
     return not any(a or b for a, b in pi_pairings(tag, re, im))
 
 
@@ -333,7 +335,7 @@ def omega_plucker(triple: PierceTriple):
 
     Each idempotent is first projected to J0 along the identity; the result is
     trace(e1) p(e2) wedge p(e3) + cyclic, which lands in the kernel of the
-    projection.
+    projection.  It comes back as a normalised wedge triple (re, im, d).
     """
     if not triple.validate():
         raise ValueError("not a Pierce decomposition")
@@ -351,7 +353,7 @@ def omega_plucker(triple: PierceTriple):
         re = [a * f + d * (t.nr * b - t.ni * c) for a, b, c in zip(re, wr, wi)]
         im = [a * f + d * (t.nr * c + t.ni * b) for a, b, c in zip(im, wr, wi)]
         d *= f
-    return tuple(from_numerators(re, im, d))
+    return normalize(re, im, d)
 
 
 # -- rank-one points on a member line ------------------------------------------------
@@ -586,7 +588,7 @@ def tangent_dim(line: ReductionLine) -> int:
     reparametrizations; smoothness predicts 3a everywhere.
     """
     _require_member(line)
-    return 2 * j0_dim(line.tag) - rank_numerators(_tangent_rows(line.X, line.Y)) - 4
+    return 2 * j0_dim(line.tag) - rank(_tangent_rows(line.X, line.Y)) - 4
 
 
 def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
@@ -595,7 +597,7 @@ def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
     The dX block (entries from y) is scaled by dy and the dY block (entries
     from x) by dx.  Scaling a column by a nonzero constant leaves the rank
     unchanged, so each row is a pair (re, im) of Gaussian integer numerators,
-    as `linalg.rank_numerators` takes them.
+    as `linalg.rank` takes them.
     """
     n = j0_dim(X.tag)
     xr, xi, _ = j0_numerators(X)
@@ -620,14 +622,14 @@ def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
 
 
 def eval_cubic_theta(tag: AlgebraTag, theta, X: JordanMatrix) -> GaussRational:
-    """theta(X, X o X - (Q/3) I) for a wedge tensor theta in the kernel of pi.
+    """theta(X, X o X - (Q/3) I) for a wedge triple theta in the kernel of pi.
 
     The wedge pairs against J0 through the invariant form; these cubics cut
     out the projected rank-one locus.
     """
-    tr, ti, td = to_numerators(theta)
-    if any(a or b for a, b in pi_pairings(tag, tr, ti)):
+    if not in_ker_pi(tag, theta):
         raise ValueError("theta is not in the kernel of the projection")
+    tr, ti, td = theta
     q = inner(X, X)
     c = jordan_mul(X, X) - JordanMatrix.identity(tag).scale(q * THIRD)
     g = j0_gram(tag)

@@ -25,19 +25,36 @@ def random_scalar(rng: random.Random, span: int = 2) -> GaussRational:
     return GaussRational(rng.randint(-span, span), rng.randint(-1, 1))
 
 
-def random_element(tag: AlgebraTag, rng: random.Random, span: int = 2) -> AlgElement:
-    return AlgElement(tag, [random_scalar(rng, span) for _ in range(tag.dim)])
+def _draw(rng: random.Random, n: int):
+    """n random Gaussian integers as (real numerators, imaginary numerators).
+
+    Each draws its real part in [-2, 2] and then its imaginary part in
+    [-1, 1], as `random_scalar` does, with no scalar object built.
+    """
+    re, im = [], []
+    for _ in range(n):
+        re.append(rng.randint(-2, 2))
+        im.append(rng.randint(-1, 1))
+    return re, im
+
+
+def random_element(tag: AlgebraTag, rng: random.Random) -> AlgElement:
+    re, im = _draw(rng, tag.dim)
+    return AlgElement._raw(tag, tuple(re), tuple(im), 1)
 
 
 def random_jordan(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
-    return JordanMatrix(tag, [random_scalar(rng) for _ in range(3)],
-                        [random_element(tag, rng) for _ in range(3)])
+    """c_1, c_2, c_3 and then x_1, x_2, x_3, drawn in the flat coordinate order."""
+    re, im = _draw(rng, 3 * tag.dim + 3)
+    return JordanMatrix._raw(tag, tuple(re), tuple(im), 1)
 
 
 def random_traceless(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
-    c1, c2 = random_scalar(rng), random_scalar(rng)
-    return JordanMatrix(tag, (c1, c2, -c1 - c2),
-                        [random_element(tag, rng) for _ in range(3)])
+    """c_1 and c_2, then x_1, x_2, x_3; c_3 is -c_1 - c_2."""
+    cr, ci = _draw(rng, 2)
+    xr, xi = _draw(rng, 3 * tag.dim)
+    return JordanMatrix._raw(tag, (*cr, -cr[0] - cr[1], *xr),
+                             (*ci, -ci[0] - ci[1], *xi), 1)
 
 
 def random_rank_one(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:

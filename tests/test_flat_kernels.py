@@ -25,11 +25,11 @@ from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
-from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, exp_nilpotent,
-                              is_nilpotent, j0_basis, j0_coords, j0_dim, j0_numerators,
-                              mult_matrices, nilpotent_generators, random_unipotent,
-                              so3a_basis, so3a_matrices, triality_basis)
-from jordanred.linalg import rank_numerators
+from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, bform_gram,
+                              exp_nilpotent, is_nilpotent, j0_basis, j0_coords, j0_dim,
+                              j0_numerators, mult_matrices, nilpotent_generators,
+                              random_unipotent, so3a_basis, so3a_matrices, triality_basis)
+from jordanred.linalg import rank
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
                                   in_ker_pi, membership, membership_values, pi_of_wedge,
@@ -104,6 +104,18 @@ def ref_det(tag, X):
 def ref_wedge(X, Y):
     xv, yv = j0_coords(X), j0_coords(Y)
     return [xv[r] * yv[s] - xv[s] * yv[r] for r, s in wedge_pairs(X.tag)]
+
+
+def ref_omega(tri):
+    """trace(e_i) p(e_j) wedge p(e_k) summed cyclically, p the projection to J0."""
+    ident = JordanMatrix.identity(tri.e1.tag)
+    es = tri.members()
+    ps = [e - ident.scale(e.trace() / 3) for e in es]
+    out = [GR_ZERO] * len(wedge_pairs(tri.e1.tag))
+    for i, e in enumerate(es):
+        w = ref_wedge(ps[(i + 1) % 3], ps[(i + 2) % 3])
+        out = [o + e.trace() * x for o, x in zip(out, w)]
+    return out
 
 
 def ref_pairings(tag, w):
@@ -327,6 +339,13 @@ def view(triple):
     return [from_numerators(a, b, d) for a, b in zip(re, im)]
 
 
+def vector_view(triple):
+    """The GaussRational entries of a vector triple (re, im, d), checked normalised."""
+    re, im, d = triple
+    assert d > 0 and gcd(d, *re, *im) == 1 and len(re) == len(im)
+    return from_numerators(re, im, d)
+
+
 def mat_mul(a, b):
     """The oracle product of two matrices of scalars, one entry at a time."""
     n, k, m = len(a), len(b), len(b[0])
@@ -503,17 +522,24 @@ def _mixed_denominators(line):
 def _assert_line_path_matches(line):
     X, Y, tag = line.X, line.Y, line.tag
     w = ref_wedge(X, Y)
-    assert list(wedge_of(X, Y)) == w
+    wv = wedge_of(X, Y)
+    assert vector_view(wv) == w
     pairings = ref_pairings(tag, w)
     assert membership_values(X, Y) == pairings
     member = all(v.is_zero() for v in pairings)
     assert membership(line) == member
-    assert in_ker_pi(tag, w) == member
-    assert in_ker_pi(tag, [v.re for v in w]) == all(v.is_zero() for v in
-                                                   ref_pairings(tag, [GaussRational(v.re)
-                                                                      for v in w]))
-    assert pi_of_wedge(tag, w).coeffs == project_so3a(X, Y).coeffs
-    assert rank_numerators(reductions._tangent_rows(X, Y)) == ref_rank(ref_tangent_rows(X, Y))
+    assert in_ker_pi(tag, wv) == member
+    real_part = (wv[0], (0,) * len(wv[0]), wv[2])
+    assert in_ker_pi(tag, real_part) == all(v.is_zero() for v in
+                                            ref_pairings(tag, [GaussRational(v.re)
+                                                               for v in w]))
+    combo = pi_of_wedge(tag, wv)
+    assert vector_view((combo.nr, combo.ni, combo.d)) == list(combo.coeffs)
+    # B applied to the coefficients gives back the pairings
+    assert [sum((b * c for b, c in zip(row, combo.coeffs)), GR_ZERO)
+            for row in bform_gram(tag)] == pairings
+    assert combo.coeffs == project_so3a(X, Y).coeffs
+    assert rank(reductions._tangent_rows(X, Y)) == ref_rank(ref_tangent_rows(X, Y))
     mc, nc, _ = reductions._pencil_polys(X, Y)
     g = reductions._rank_one_gcd(mc, nc)
     assert (g if g is None else g.monic()) == ref_minor_gcd(X, Y)
@@ -597,7 +623,9 @@ def test_realized_combination_matches_the_scalar_sum(tag):
         ref = [[GR_ZERO] * n for _ in range(n)]
         for c, m in zip(coeffs, mats):
             ref = [[r + c * v for r, v in zip(rrow, mrow)] for rrow, mrow in zip(ref, m)]
-        assert _fields(view(LieCombo(tag, coeffs).realized())) == _fields(ref)
+        combo = LieCombo(tag, *to_numerators(coeffs))
+        assert vector_view((combo.nr, combo.ni, combo.d)) == list(combo.coeffs) == coeffs
+        assert _fields(view(combo.realized())) == _fields(ref)
 
 
 # -- the so3(A) operators -----------------------------------------------------------------

@@ -5,7 +5,7 @@ equivariance sample."""
 import pytest
 
 from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
 from jordanred.jordan import JordanMatrix, jordan_mul
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
 from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
@@ -13,7 +13,7 @@ from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
                                   project_so3a, representative,
                                   severi_points_on_line, tangent_dim, wedge_of)
 from jordanred.sampling import make_rng, random_member_line, random_traceless
-from test_flat_kernels import mat_mul, view
+from test_flat_kernels import mat_mul, vector_view, view
 
 COUNTS = {OrbitClass.OPEN0: (3, 0, False), OrbitClass.CODIM1: (1, 1, False),
           OrbitClass.CODIM2: (0, 1, False), OrbitClass.CODIM4: (0, 0, True)}
@@ -84,7 +84,8 @@ def test_projection_equivariance_octonions():
     x, y = random_traceless(tag, rng), random_traceless(tag, rng)
     u = ops[17]
     ux, uy = u.apply(x), u.apply(y)
-    w = [a + b for a, b in zip(wedge_of(ux, y), wedge_of(x, uy))]
+    w = to_numerators([a + b for a, b in zip(vector_view(wedge_of(ux, y)),
+                                              vector_view(wedge_of(x, uy)))])
     lhs = view(pi_of_wedge(tag, w).realized())
     pi_xy = view(project_so3a(x, y).realized())
     umat = [[GaussRational(v) for v in row] for row in u.matrix]

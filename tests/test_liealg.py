@@ -14,9 +14,10 @@ from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               so3a_basis, so3a_rank, stabilizer_dims,
                               standard_derivation, triality_basis,
                               triality_identity_holds)
-from jordanred.linalg import RowSpan, rank
+from jordanred.linalg import RowSpan
 from jordanred.sampling import make_rng, random_jordan, random_traceless
 from test_flat_kernels import left_mult_matrix, view
+from test_linalg import ref_invert
 
 T_DIMS = {1: 0, 2: 2, 4: 9, 8: 28}
 
@@ -151,6 +152,7 @@ def test_bform_invertible(tag):
     g = bform_gram(tag)
     assert len(g) == len(so3a_basis(tag))
     binv = view(bform_inverse(tag))
+    assert binv == ref_invert(g)
     n = len(g)
     for i in range(n):
         for j in range(n):
@@ -164,7 +166,8 @@ def test_lr_presentation_cross_check(tag):
     tb = triality_basis(tag)
 
     def flat(tr):
-        return [Fraction(v) for m in tr for row in m for v in row]
+        re = [v for m in tr for row in m for v in row]
+        return re, [0] * len(re)
 
     span = RowSpan([flat(t) for t in tb])
     assert span.dim == len(tb)
@@ -175,16 +178,16 @@ def test_lr_presentation_cross_check(tag):
         for pair in ((e, zero), (zero, e)):
             trip = lr_triality_triple(*pair)
             assert triality_identity_holds(tag, trip)
-            assert span.contains(flat(trip))
-            cover.add(flat(trip))
+            assert span.contains(*flat(trip))
+            cover.add(*flat(trip))
     for i in range(1, tag.dim):
         for j in range(i + 1, tag.dim):
             d = standard_derivation(AlgElement.basis(tag, i),
                                     AlgElement.basis(tag, j))
             trip = (d, d, d)
             assert triality_identity_holds(tag, trip)
-            assert span.contains(flat(trip))
-            cover.add(flat(trip))
+            assert span.contains(*flat(trip))
+            cover.add(*flat(trip))
     assert cover.dim == len(tb)
 
 

@@ -5,13 +5,31 @@ from math import gcd
 
 import pytest
 
-from jordanred.gaussrat import GR_ONE, GR_ZERO, gr, to_numerators
-from jordanred.linalg import RowSpan, invert, nullspace, rank, rank_numerators, rref
-from test_flat_kernels import mat_mul, ref_rank, ref_rref
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
+from jordanred.linalg import RowSpan, invert, nullspace, rank
+from test_flat_kernels import as_triple, mat_mul, ref_rank, ref_rref, vector_view, view
 
 
 def frac_matrix(rows):
     return [[Fraction(v) for v in r] for r in rows]
+
+
+def numerator_rows(rows):
+    """The rows of a matrix of Q(i) scalars as integer numerator pairs (re, im)."""
+    return [to_numerators(r)[:2] for r in rows]
+
+
+def span_rref(span, ncols):
+    """(rows, pivots): the GaussRational view of the reduced rows of a RowSpan."""
+    pivots = sorted(span.rows)
+    out = []
+    for p in pivots:
+        row, d = span.rows[p]
+        vec = [GR_ZERO] * ncols
+        for j, (a, b) in row.items():
+            vec[j] = GaussRational._make(a, b, d)
+        out.append(vec)
+    return out, pivots
 
 
 def random_matrix(rng, n, m, kind):
@@ -65,7 +83,7 @@ def test_rank_agrees_with_minors():
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             a = low_rank_matrix(rng, n, m, kind)
             r = rank_by_minors(a)
-            assert rank(a) == r, (kind, a)
+            assert rank(numerator_rows(a)) == r, (kind, a)
             seen.add(r < min(n, m))
         assert seen == {True, False}  # both full-rank and deficient cases ran
 
@@ -76,20 +94,20 @@ def test_nullspace_is_kernel():
         for _ in range(30):
             n, m = rng.randint(1, 5), rng.randint(1, 7)
             a = low_rank_matrix(rng, n, m, kind)
-            basis = nullspace(a)
-            assert len(basis) == m - rank(a)
+            basis = nullspace(numerator_rows(a), m)
+            assert len(basis) == m - rank(numerator_rows(a))
             for v in basis:
                 for row in a:
-                    assert not sum((c * x for c, x in zip(row, v)), 0)
+                    assert not sum((c * x for c, x in zip(row, vector_view(v))), 0)
             if basis:
-                assert rank(basis) == len(basis)
+                assert rank(v[:2] for v in basis) == len(basis)
 
 
 def test_nullspace_gauss_rational():
     a = [[gr(1), gr(0, 1), gr(0)], [gr(0), gr(0), gr(0)]]
-    basis = nullspace(a)
+    basis = nullspace(numerator_rows(a), 3)
     assert len(basis) == 2
-    for v in basis:
+    for v in map(vector_view, basis):
         assert (v[0] + gr(0, 1) * v[1]).is_zero()
 
 
@@ -99,17 +117,19 @@ def test_invert_round_trip():
         count = 0
         while count < 15:
             n = rng.randint(1, 5)
-            a = random_matrix(rng, n, n, kind)
-            if rank(a) < n:
+            # the integer matrix of row numerators, and its inverse
+            rows = numerator_rows(random_matrix(rng, n, n, kind))
+            a = [[gr(x, y) for x, y in zip(re, im)] for re, im in rows]
+            if rank(rows) < n:
                 try:
-                    invert(a)
+                    invert(rows)
                 except ValueError as exc:
                     assert str(exc) == "singular matrix"
                 else:
                     raise AssertionError("singular matrix inverted")
                 continue
             count += 1
-            inv = invert(a)
+            inv = view(invert(rows))
             for prod in (mat_mul(a, inv), mat_mul(inv, a)):
                 for i in range(n):
                     for j in range(n):
@@ -118,19 +138,22 @@ def test_invert_round_trip():
 
 def test_rref_pivots():
     a = frac_matrix([[0, 2, 1], [0, 4, 2], [1, 0, 0]])
-    red, pivots = rref(a)
+    red, pivots = span_rref(RowSpan(numerator_rows(a)), 3)
     assert pivots == [0, 1]
     assert red == frac_matrix([[1, 0, 0], [0, 1, Fraction(1, 2)]])
 
 
 def test_row_span_membership():
-    span = RowSpan([[Fraction(1), Fraction(2), Fraction(0)],
-                    [Fraction(0), Fraction(1), Fraction(1)]])
+    span = RowSpan(numerator_rows([[Fraction(1), Fraction(2), Fraction(0)],
+                                   [Fraction(0), Fraction(1), Fraction(1)]]))
     assert span.dim == 2
-    assert span.contains([Fraction(1), Fraction(3), Fraction(1)])
-    assert not span.contains([Fraction(0), Fraction(0), Fraction(1)])
-    assert not span.add([Fraction(2), Fraction(4), Fraction(0)])
-    assert span.add([Fraction(0), Fraction(0), Fraction(1)])
+    inside, outside, dependent, new = numerator_rows(
+        [[Fraction(1), Fraction(3), Fraction(1)], [Fraction(0), Fraction(0), Fraction(1)],
+         [Fraction(2), Fraction(4), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]])
+    assert span.contains(*inside)
+    assert not span.contains(*outside)
+    assert not span.add(*dependent)
+    assert span.add(*new)
     assert span.dim == 3
 
 
@@ -202,25 +225,24 @@ def test_numerator_row_span_matches_the_scalar_elimination(seed):
     for _ in range(30):
         n, m = rng.randint(1, 6), rng.randint(1, 7)
         a = tall_matrix(rng, n, m)
-        red, pivots = rref(a)
+        rows = numerator_rows(a)
+        red, pivots = span_rref(RowSpan(rows), m)
         assert (red, pivots) == ref_rref(a)
         deficient.append(len(pivots) < min(len(a), m))
-        assert nullspace(a) == ref_nullspace(a, m)
-        assert rank(a) == rank_numerators(to_numerators(r)[:2] for r in a) == len(pivots)
+        assert [vector_view(v) for v in nullspace(rows, m)] == ref_nullspace(a, m)
+        assert rank(rows) == len(pivots)
         span, scaled = RowSpan(), RowSpan()
-        for i, row in enumerate(a):
+        for i, (re, im) in enumerate(rows):
             grows = ref_rank(a[:i + 1]) > ref_rank(a[:i])
-            assert span.add(row) == grows
-            # the numerator entry point, over any denominator and times any
-            # nonzero Gaussian integer
-            re, im, _ = to_numerators(row)
+            assert span.add(re, im) == grows
+            # the same row over any denominator and times any nonzero Gaussian integer
             c, e = rng.choice(((1, 0), (0, 1), (-3, 2), (7, 0)))
-            assert scaled.add_numerators([c * x - e * y for x, y in zip(re, im)],
-                                         [c * y + e * x for x, y in zip(re, im)]) == grows
+            assert scaled.add([c * x - e * y for x, y in zip(re, im)],
+                              [c * y + e * x for x, y in zip(re, im)]) == grows
         assert scaled.rows == span.rows
         _assert_primitive_rref(span)
         for v in a + [[tall_scalar(rng, 10 ** 4) for _ in range(m)] for _ in range(3)]:
-            assert span.contains(v) == (ref_rank(a + [v]) == len(pivots))
+            assert span.contains(*to_numerators(v)[:2]) == (ref_rank(a + [v]) == len(pivots))
     assert 0.3 < sum(deficient) / len(deficient) < 0.7
 
 
@@ -231,12 +253,15 @@ def test_numerator_invert_matches_the_scalar_elimination(seed):
     for _ in range(20):
         n = rng.randint(1, 5)
         a = tall_matrix(rng, n, n)[:n]
+        # a over the lcm d of its denominators: the integer matrix d a has inverse a^-1 / d
+        re, im, d = as_triple(a)
+        rows = list(zip(re, im))
         try:
             want = ref_invert(a)
         except ValueError:
             singular += 1
             with pytest.raises(ValueError, match="singular matrix"):
-                invert(a)
+                invert(rows)
             continue
-        assert invert(a) == want
+        assert view(invert(rows)) == [[v / d for v in row] for row in want]
     assert 0 < singular < 20

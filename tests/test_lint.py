@@ -74,3 +74,10 @@ def test_two_benchmark_line_groups_come_out_right(monkeypatch):
                for wl in stream.next_group()]
     assert [r.orbit for r in results] == list(lines.ORBITS) * 2
     assert all(r.ok for r in results), [r.outcome for r in results]
+
+
+def test_the_elimination_kernel_is_integer_only():
+    """linalg takes and returns integer numerators; it builds no Q(i) scalar."""
+    source = (SRC / "linalg.py").read_text()
+    names = ("GaussRational", "GR_ZERO", "GR_ONE", "to_numerators", "from_numerators")
+    assert [name for name in names if name in source] == []

@@ -5,7 +5,7 @@ import pytest
 
 from jordanred import reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
-from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr
+from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
                               inner, jordan_mul, sigma1, sigma2)
 from jordanred.liealg import apply_j0_linear, bform_gram, random_unipotent, so3a_basis
@@ -14,7 +14,7 @@ from jordanred.reductions import (OrbitClass, ReductionLine,
                                   eval_cubic_ab, eval_cubic_theta, in_ker_pi,
                                   ker_pi_basis, ker_pi_dim, membership,
                                   membership_values, omega_plucker,
-                                  pierce_from_roots, pi_of_wedge,
+                                  pi_functional_matrix, pierce_from_roots, pi_of_wedge,
                                   project_so3a, representative,
                                   severi_points_on_line, tangent_dim,
                                   wedge_of, wedge_pairs, z_representative)
@@ -22,7 +22,8 @@ from jordanred.sampling import (make_rng, random_member_line,
                                 random_pierce_triple,
                                 random_projected_rank_one, random_square_zero,
                                 random_traceless)
-from test_flat_kernels import mat_mul, view
+from test_flat_kernels import mat_mul, ref_omega, vector_view, view
+from test_linalg import ref_nullspace
 
 KER_PI_DIMS = {1: 7, 2: 20, 4: 70, 8: 273}
 
@@ -139,6 +140,8 @@ def test_ker_pi_dimension(tag):
     n = 3 * tag.dim + 2
     assert len(wedge_pairs(tag)) == n * (n - 1) // 2
     assert ker_pi_dim(tag) == KER_PI_DIMS[tag.dim]
+    assert [vector_view(v) for v in ker_pi_basis(tag)] == \
+        ref_nullspace(pi_functional_matrix(tag), len(wedge_pairs(tag)))
 
 
 @pytest.mark.parametrize("tag", (ALG_R, ALG_C, ALG_H), ids=str)
@@ -159,7 +162,8 @@ def test_projection_equivariance(tag):
         y = random_traceless(tag, rng)
         u = ops[rng.randrange(len(ops))]
         ux, uy = u.apply(x), u.apply(y)
-        w = [a + b for a, b in zip(wedge_of(ux, y), wedge_of(x, uy))]
+        w = to_numerators([a + b for a, b in zip(vector_view(wedge_of(ux, y)),
+                                                  vector_view(wedge_of(x, uy)))])
         lhs = view(pi_of_wedge(tag, w).realized())
         pi_xy = view(project_so3a(x, y).realized())
         umat = [[GaussRational(v) for v in row] for row in u.matrix]
@@ -209,9 +213,11 @@ def test_omega_plucker(tag):
     # diagonal triple: the wedge of the two independent traceless diagonals
     tri = pierce_from_roots(JordanMatrix.diag(tag, -1, 0, 1),
                             (gr(-1), GR_ZERO, GR_ONE))
-    omega = omega_plucker(tri)
+    omega = vector_view(omega_plucker(tri))
+    assert omega == ref_omega(tri)
     assert any(not v.is_zero() for v in omega)
-    d = wedge_of(JordanMatrix.diag(tag, 1, -1, 0), JordanMatrix.diag(tag, 0, 1, -1))
+    d = vector_view(wedge_of(JordanMatrix.diag(tag, 1, -1, 0),
+                             JordanMatrix.diag(tag, 0, 1, -1)))
     ratio = None
     for a, b in zip(omega, d):
         if b.is_zero():
@@ -221,7 +227,7 @@ def test_omega_plucker(tag):
             assert ratio is None or r == ratio
             ratio = r
     assert ratio is not None and not ratio.is_zero()
-    assert in_ker_pi(tag, omega)
+    assert in_ker_pi(tag, omega_plucker(tri))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -231,7 +237,8 @@ def test_omega_in_kernel_for_random_triples(tag):
     for _ in range(n):
         tri = random_pierce_triple(tag, rng)
         omega = omega_plucker(tri)
-        assert any(not v.is_zero() for v in omega)
+        assert vector_view(omega) == ref_omega(tri)
+        assert any(omega[0]) or any(omega[1])
         assert in_ker_pi(tag, omega)
 
 
@@ -518,8 +525,7 @@ def diag_theta(tag):
     """The wedge of the first two projected diagonal idempotents."""
     tri = pierce_from_roots(JordanMatrix.diag(tag, -1, 0, 1),
                             (gr(-1), GR_ZERO, GR_ONE))
-    omega = omega_plucker(tri)
-    return [v / 3 for v in omega]
+    return to_numerators([v / 3 for v in vector_view(omega_plucker(tri))])
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -563,7 +569,8 @@ def test_cubic_tangent_value(tag):
         assert eval_cubic_theta(tag, theta, x) == expected
         # linear in theta and cubic in x, over other denominators
         lam = gr(1, 2) / 3
-        assert eval_cubic_theta(tag, [v / 5 for v in theta], x.scale(lam)) == \
+        theta_5 = to_numerators([v / 5 for v in vector_view(theta)])
+        assert eval_cubic_theta(tag, theta_5, x.scale(lam)) == \
             expected * lam ** 3 / 5
 
 
@@ -572,6 +579,7 @@ def test_cubic_theta_requires_kernel_element():
     pairs = wedge_pairs(tag)
     theta = [GR_ZERO] * len(pairs)
     theta[pairs.index((0, 2))] = GR_ONE
+    theta = to_numerators(theta)
     assert not in_ker_pi(tag, theta)
     with pytest.raises(ValueError):
         eval_cubic_theta(tag, theta, JordanMatrix.diag(tag, 1, 1, -2))
