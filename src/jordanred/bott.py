@@ -60,8 +60,7 @@ class TorusCharacter:
     def weights(self, w: "WeightVector") -> List[int]:
         out = []
         for m, k in self.terms.items():
-            val = m[0] * w.w0 + m[1] * w.w1 + m[2] * w.w2
-            out.extend([val] * k)
+            out.extend([w.pair(m)] * k)
         return sorted(out)
 
     def permuted(self, perm) -> "TorusCharacter":
@@ -238,7 +237,7 @@ def enumerate_fixed_points() -> Tuple[FixedPointDatum, ...]:
             )
             prev = data.setdefault(moved.key(), moved)
             if prev.tangent_char != moved.tangent_char:
-                raise AssertionError("inconsistent data at %r" % (moved.key(),))
+                raise ArithmeticError("inconsistent data at %r" % (moved.key(),))
     out = sorted(data.values(), key=lambda d: (d.class_id, d.supports))
     if len(out) != 22:
         raise ArithmeticError("fixed-point count is off: %d" % len(out))
@@ -356,7 +355,7 @@ def localize(w: WeightVector) -> LocalizationReport:
     for pt in enumerate_fixed_points():
         ms = pt.tangent_char.weights(w)
         if len(ms) != 6:
-            raise AssertionError("tangent character must have 6 terms")
+            raise ArithmeticError("tangent character must have 6 terms")
         if any(m == 0 for m in ms):
             raise ArithmeticError("zero tangent weight at a generic vector")
         e = _elementary_symmetric(ms)

@@ -17,9 +17,10 @@ of coordinates, both on the numerators.  `normalize_matrix` and `mat_mat`
 normalise and multiply matrix triples.  Scalars enter the layout through
 `to_numerators` and views leave it through `from_numerators`.  Between
 modules every vector is a triple (re, im, d): algebra elements, Jordan
-matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg` and the
-coefficients of a `LieCombo`; the inverse from `linalg`, the unipotent
-automorphisms and realized Lie combinations are matrix triples.
+matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg`, the
+coefficients of a `LieCombo` and the ascending coefficients of a `PolyQi`
+polynomial; the inverse from `linalg`, the unipotent automorphisms and
+realized Lie combinations are matrix triples.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.

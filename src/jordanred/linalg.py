@@ -141,10 +141,12 @@ def nullspace(rows, ncols: int):
 
     The vectors are the canonical kernel basis read off the reduced row
     echelon form: one per free column, 1 there and 0 at the other free
-    columns, each as a normalised triple (re, im, d).
+    columns, each as a normalised triple (re, im, d).  Real vectors share
+    one all-zero imaginary tuple.
     """
     span = RowSpan(rows)
     basis = []
+    zero = (0,) * ncols  # the imaginary numerators of every real kernel vector
     for fc in range(ncols):
         if fc in span.rows:
             continue
@@ -155,7 +157,8 @@ def nullspace(rows, ncols: int):
         re[fc] = den
         for p, (a, b), d in terms:
             re[p], im[p] = -a * (den // d), -b * (den // d)
-        basis.append(normalize(re, im, den))
+        re, im, den = normalize(re, im, den)
+        basis.append((re, im if any(im) else zero, den))
     return basis
 
 

@@ -3,39 +3,60 @@
 Used to intersect pencils of Jordan matrices with the projected rank-one
 locus.  Roots living in Q(i) are always found; factors that are irreducible
 over Q(i) are returned as such (their roots are counted, not constructed).
+
+A polynomial is one normalised numerator triple of `gaussrat`: the ascending
+coefficients are (nr[k] + ni[k] i)/d.  Arithmetic runs on the integer
+numerators and normalises once per result; the rational-root search reads
+the numerators directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
-from .gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
+from .gaussrat import GR_ONE, GR_ZERO, GaussRational, from_numerators, normalize, to_numerators
 
 
 class PolyQi:
-    """Dense polynomial with GaussRational coefficients, ascending order."""
+    """Dense polynomial over Q(i): ascending coefficients (nr + i ni)/d.
 
-    __slots__ = ("coeffs",)
+    The triple is normalised and has no trailing zero coefficient, so equal
+    polynomials have equal fields; `coeffs` is a read-only view of the
+    coefficients as GaussRational scalars.
+    """
+
+    __slots__ = ("nr", "ni", "d")
 
     def __init__(self, coeffs):
-        cs = [GaussRational(c) if not isinstance(c, GaussRational) else c for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.nr, self.ni, self.d = _strip(*to_numerators(coeffs))
+
+    @classmethod
+    def _make(cls, nr, ni, d: int) -> "PolyQi":
+        """The polynomial with coefficient numerators nr, ni over d (d != 0)."""
+        self = object.__new__(cls)
+        self.nr, self.ni, self.d = _strip(nr, ni, d)
+        return self
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of GaussRational scalars (a view)."""
+        return tuple(from_numerators(self.nr, self.ni, self.d))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nr) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nr
 
     def __eq__(self, other):
-        return isinstance(other, PolyQi) and self.coeffs == other.coeffs
+        return (isinstance(other, PolyQi) and self.d == other.d and self.nr == other.nr
+                and self.ni == other.ni)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nr, self.ni, self.d))
 
     def __repr__(self):
         if self.is_zero():
@@ -43,109 +64,110 @@ class PolyQi:
         return "PolyQi(" + " + ".join("%r*t^%d" % (c, k) for k, c in enumerate(self.coeffs)
                                       if not c.is_zero()) + ")"
 
+    def _lincomb(self, other: "PolyQi", sign: int) -> "PolyQi":
+        """self + sign * other, for sign = +-1."""
+        fx, fy = other.d, sign * self.d
+        return PolyQi._make(
+            [a * fx + b * fy for a, b in zip_longest(self.nr, other.nr, fillvalue=0)],
+            [a * fx + b * fy for a, b in zip_longest(self.ni, other.ni, fillvalue=0)],
+            self.d * other.d)
+
     def __add__(self, other: "PolyQi") -> "PolyQi":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [GR_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [GR_ZERO] * (n - len(other.coeffs))
-        return PolyQi([x + y for x, y in zip(a, b)])
+        return self._lincomb(other, 1)
 
     def __sub__(self, other: "PolyQi") -> "PolyQi":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [GR_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [GR_ZERO] * (n - len(other.coeffs))
-        return PolyQi([x - y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "PolyQi":
-        return PolyQi([-c for c in self.coeffs])
+        return self._lincomb(other, -1)
 
     def __mul__(self, other: "PolyQi") -> "PolyQi":
         if self.is_zero() or other.is_zero():
-            return PolyQi([])
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PolyQi(out)
-
-    def scale(self, s: GaussRational) -> "PolyQi":
-        return PolyQi([c * s for c in self.coeffs])
+            return PolyQi(())
+        n = len(self.nr) + len(other.nr) - 1
+        re, im = [0] * n, [0] * n
+        for i, (a, b) in enumerate(zip(self.nr, self.ni)):
+            if a or b:
+                for j, (x, y) in enumerate(zip(other.nr, other.ni)):
+                    re[i + j] += a * x - b * y
+                    im[i + j] += a * y + b * x
+        return PolyQi._make(re, im, self.d * other.d)
 
     def monic(self) -> "PolyQi":
+        """self divided by its leading coefficient a + bi: times a - bi, over a^2 + b^2."""
         if self.is_zero():
             return self
-        lc = self.coeffs[-1]
-        return self.scale(GR_ONE / lc)
+        a, b = self.nr[-1], self.ni[-1]
+        return PolyQi._make([x * a + y * b for x, y in zip(self.nr, self.ni)],
+                            [y * a - x * b for x, y in zip(self.nr, self.ni)], a * a + b * b)
 
-    def __call__(self, t: GaussRational) -> GaussRational:
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    def __call__(self, t) -> GaussRational:
+        """The value at the scalar t = (tr + ti i)/td, by Horner on the numerators."""
+        if self.is_zero():
+            return GR_ZERO
+        (tr,), (ti,), td = to_numerators([t])
+        ar = ai = 0
+        q = 1  # td^k after k steps; the sum so far is over d td^(k-1)
+        for a, b in zip(reversed(self.nr), reversed(self.ni)):
+            ar, ai = ar * tr - ai * ti + a * q, ar * ti + ai * tr + b * q
+            q *= td
+        return GaussRational._make(ar, ai, self.d * (q // td))
 
     def derivative(self) -> "PolyQi":
-        return PolyQi([c * k for k, c in enumerate(self.coeffs)][1:])
+        return PolyQi._make([k * a for k, a in enumerate(self.nr)][1:],
+                            [k * b for k, b in enumerate(self.ni)][1:], self.d)
 
     def divmod(self, other: "PolyQi"):
+        """(quotient, remainder), by pseudo-division on the numerators.
+
+        Times the conjugate c of its leading coefficient, the divisor B has
+        the positive integer lead n = |lead|^2.  Each step that clears a
+        nonzero coefficient t multiplies everything by n and subtracts t times
+        the shifted B c, storing t in the cleared place; after s such steps
+        n^s self = Q B c + R, with Q above degree m and R below it.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return PolyQi([]), self
-        quot = [GR_ZERO] * (dq + 1)
-        lc = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lc
-            quot[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return PolyQi(quot), PolyQi(rem)
+        m = other.degree
+        if self.degree < m:
+            return PolyQi(()), self
+        lr, li = other.nr[-1], other.ni[-1]
+        n = lr * lr + li * li
+        br = [a * lr + b * li for a, b in zip(other.nr[:m], other.ni[:m])]
+        bi = [b * lr - a * li for a, b in zip(other.nr[:m], other.ni[:m])]
+        rr, ri, den = list(self.nr), list(self.ni), self.d
+        for k in range(self.degree - m, -1, -1):
+            tr, ti = rr[k + m], ri[k + m]
+            if tr or ti:
+                rr, ri, den = [x * n for x in rr], [y * n for y in ri], den * n
+                rr[k + m], ri[k + m] = tr, ti
+                for j, (x, y) in enumerate(zip(br, bi)):
+                    rr[k + j] -= tr * x - ti * y
+                    ri[k + j] -= tr * y + ti * x
+        # Q/den times B c = other.d c other
+        f = other.d
+        quot = PolyQi._make([(x * lr + y * li) * f for x, y in zip(rr[m:], ri[m:])],
+                            [(y * lr - x * li) * f for x, y in zip(rr[m:], ri[m:])], den)
+        return quot, PolyQi._make(rr[:m], ri[:m], den)
 
     def divides(self, other: "PolyQi") -> bool:
         _, r = other.divmod(self)
         return r.is_zero()
 
     def conj_coeffs(self) -> "PolyQi":
-        return PolyQi([c.conj() for c in self.coeffs])
+        return PolyQi._make(self.nr, [-b for b in self.ni], self.d)
 
-    def real_part(self):
-        return [c.re for c in self.coeffs]
 
-    def imag_part(self):
-        return [c.im for c in self.coeffs]
+def _strip(nr, ni, d: int):
+    """The normalised triple of nr, ni over d without trailing zero coefficients."""
+    n = len(nr)
+    while n and not (nr[n - 1] or ni[n - 1]):
+        n -= 1
+    return normalize(nr[:n], ni[:n], d)
 
 
 def poly_gcd(a: PolyQi, b: PolyQi) -> PolyQi:
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
-def squarefree_factors(f: PolyQi):
-    """Yun's decomposition: list of (squarefree factor, exact multiplicity)."""
-    f = f.monic()
-    out = []
-    g = poly_gcd(f, f.derivative())
-    w, _ = f.divmod(g)
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        fac, r = w.divmod(y)
-        if not r.is_zero():
-            raise ArithmeticError("inexact division in the squarefree decomposition")
-        if fac.degree > 0:
-            out.append((fac.monic(), i))
-        w = y
-        g, r = g.divmod(y)
-        if not r.is_zero():
-            raise ArithmeticError("inexact division in the squarefree decomposition")
-        i += 1
-    return out
+    return a.monic()
 
 
 # -- integer helpers ---------------------------------------------------------
@@ -266,11 +288,10 @@ def _int_poly_value(coeffs, p: int, q: int = 1) -> int:
     return acc
 
 
-def _clear_denominators(fracs):
-    """The primitive integer vector proportional to a vector of rationals."""
-    ints, _, _ = to_numerators(fracs)
+def _primitive(ints):
+    """The nonzero integer vector divided by the gcd of its entries."""
     g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else list(ints)
+    return [v // g for v in ints]
 
 
 # -- roots over Q(i) -----------------------------------------------------------
@@ -303,23 +324,20 @@ def roots_qi(f: PolyQi):
 
 
 def _find_one_root(f: PolyQi):
-    if f.coeffs[0].is_zero():
+    if not (f.nr[0] or f.ni[0]):
         return GR_ZERO
     if f.degree == 1:
         return -f.coeffs[0] / f.coeffs[1]
     if f.degree == 2:
         c, b, a = f.coeffs
-        disc = b * b - 4 * a * c
-        s = disc.sqrt()
-        if s is None:
-            return None
-        return (-b + s) / (2 * a)
+        s = (b * b - 4 * a * c).sqrt()
+        return None if s is None else (-b + s) / (2 * a)
     # degree 3: a rational root is a root of gcd(Re f, Im f), which is f itself
     # when f is real
-    re, im = PolyQi(f.real_part()), PolyQi(f.imag_part())
+    re, im = PolyQi(f.nr), PolyQi(f.ni)
     g = poly_gcd(re, im)
     if g.degree >= 1:
-        r = next(rational_roots_of_int_poly(_clear_denominators(g.real_part())), None)
+        r = next(rational_roots_of_int_poly(_primitive(g.nr)), None)
         if r is not None:
             return GaussRational(r)
     if im.is_zero():
@@ -329,15 +347,13 @@ def _find_one_root(f: PolyQi):
     # properly complex cubic: non-real roots have a rational quadratic minimal
     # polynomial dividing f * conj(f); enumerate them Kronecker-style.
     G = f * f.conj_coeffs()
-    gint = _clear_denominators([c.re for c in G.coeffs])
-    for m in _quadratic_factors(gint):
-        c0, c1, c2 = m
-        disc = GaussRational(Fraction(c1 * c1 - 4 * c2 * c0))
-        s = disc.sqrt()
+    gint = _primitive(G.nr)
+    for c0, c1, c2 in _quadratic_factors(gint):
+        s = GaussRational(c1 * c1 - 4 * c2 * c0).sqrt()
         if s is None:
             continue
         for ss in (s, -s):
-            r = (GaussRational(Fraction(-c1)) + ss) / GaussRational(Fraction(2 * c2))
+            r = (ss - c1) / (2 * c2)
             if f(r).is_zero():
                 return r
     return None
@@ -347,8 +363,8 @@ def _quadratic_factors(gint):
     """Candidate integer quadratic factors (c0, c1, c2) of an integer poly."""
     g0, g1, gm1 = (_int_poly_value(gint, x) for x in (0, 1, -1))
     if g0 == 0 or g1 == 0 or gm1 == 0:
-        return  # rational root present; handled elsewhere
-    lead = gint[-1]
+        return []  # rational root present; handled elsewhere
+    lead, g = gint[-1], PolyQi(gint)
     out = set()
     for c2 in integer_divisors(lead):
         for d0 in integer_divisors(g0):
@@ -363,17 +379,6 @@ def _quadratic_factors(gint):
                         if mval == 0 or gm1 % mval != 0:
                             continue
                         key = (c0, c1, c2)
-                        if key not in out and _int_poly_divides([c0, c1, c2], gint):
+                        if key not in out and PolyQi(key).divides(g):
                             out.add(key)
-    for key in sorted(out):
-        yield key
-
-
-def _int_poly_divides(m, g) -> bool:
-    """Whether the integer polynomial m divides g exactly over Q."""
-    mm = PolyQi([GaussRational(c) for c in m])
-    gg = PolyQi([GaussRational(c) for c in g])
-    if mm.degree < 1:
-        return False
-    _, r = gg.divmod(mm)
-    return r.is_zero()
+    return sorted(out)

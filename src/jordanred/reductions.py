@@ -21,8 +21,8 @@ from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_sever
                      discriminant, inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
                      so3a_matrices)
-from .linalg import nullspace, rank
-from .polyq import PolyQi, poly_gcd, roots_qi, squarefree_factors
+from .linalg import RowSpan, nullspace, rank
+from .polyq import PolyQi, poly_gcd, roots_qi
 
 
 class ReductionLine:
@@ -387,19 +387,19 @@ class SeveriPointReport:
 
 
 def _over_common_denominator(numerators):
-    """Coefficient pairs of sum_i A_i t^i, coordinate by coordinate.
+    """Coefficient rows of sum_i A_i t^i, coordinate by coordinate.
 
     `numerators` lists (re, im, d) for A_0, A_1, ...; each coordinate comes
-    back as the tuple (re_0, im_0, re_1, im_1, ...) of integer numerators over
-    the lcm D of the d's.  Writing every coefficient over the same D scales the
-    whole polynomial vector by D, which changes no zero, no proportionality
-    and no divisibility.
+    back as the pair (re, im) of its ascending integer coefficient numerators
+    over the lcm D of the d's.  Writing every coefficient over the same D
+    scales the whole polynomial vector by D, which changes no zero, no
+    proportionality and no divisibility.
     """
     numerators = list(numerators)
     n = len(numerators[0][0])
     re, im, _ = to_numerators((), numerators)
-    return list(zip(*(part for k in range(0, len(re), n)
-                      for part in (re[k:k + n], im[k:k + n]))))
+    return list(zip(zip(*(re[k:k + n] for k in range(0, len(re), n))),
+                    zip(*(im[k:k + n] for k in range(0, len(im), n)))))
 
 
 def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
@@ -423,58 +423,49 @@ def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
 
 
 def _rank_one_minors(mc, nc):
-    """The nonzero 2x2 minors N_r M_s - N_s M_r as integer coefficient tuples.
+    """The nonzero 2x2 minors N_r M_s - N_s M_r as (re, im) numerator rows.
 
     M(t) and N(t) are each written over one common denominator, so every
     minor is scaled by the same nonzero constant and comes out with Gaussian
-    integer coefficients, (re_0, im_0, ..., re_3, im_3).  Equal minors are
-    kept once, in order of first appearance.
+    integer coefficients of degrees 0 to 3.
     """
-    minors = {}
     for r in range(len(mc)):
-        a0, b0, a1, b1, a2, b2 = nc[r]
-        c0, e0, c1, e1 = mc[r]
+        (a0, a1, a2), (b0, b1, b2) = nc[r]
+        (c0, c1), (e0, e1) = mc[r]
         for s in range(r + 1, len(mc)):
-            f0, g0, f1, g1, f2, g2 = nc[s]
-            h0, k0, h1, k1 = mc[s]
+            (f0, f1, f2), (g0, g1, g2) = nc[s]
+            (h0, h1), (k0, k1) = mc[s]
             # (a + ib)(h + ik) - (f + ig)(c + ie), degree by degree
-            key = (a0 * h0 - b0 * k0 - f0 * c0 + g0 * e0,
-                   a0 * k0 + b0 * h0 - f0 * e0 - g0 * c0,
-                   a0 * h1 - b0 * k1 + a1 * h0 - b1 * k0
-                   - f0 * c1 + g0 * e1 - f1 * c0 + g1 * e0,
-                   a0 * k1 + b0 * h1 + a1 * k0 + b1 * h0
-                   - f0 * e1 - g0 * c1 - f1 * e0 - g1 * c0,
-                   a1 * h1 - b1 * k1 + a2 * h0 - b2 * k0
-                   - f1 * c1 + g1 * e1 - f2 * c0 + g2 * e0,
-                   a1 * k1 + b1 * h1 + a2 * k0 + b2 * h0
-                   - f1 * e1 - g1 * c1 - f2 * e0 - g2 * c0,
-                   a2 * h1 - b2 * k1 - f2 * c1 + g2 * e1,
-                   a2 * k1 + b2 * h1 - f2 * e1 - g2 * c1)
-            if any(key):
-                minors[key] = None
-    return list(minors)
-
-
-def _int_poly(coeffs) -> PolyQi:
-    """The polynomial with Gaussian integer coefficients (re_0, im_0, re_1, ...)."""
-    return PolyQi([GaussRational._make(coeffs[k], coeffs[k + 1], 1)
-                   for k in range(0, len(coeffs), 2)])
+            re = (a0 * h0 - b0 * k0 - f0 * c0 + g0 * e0,
+                  a0 * h1 - b0 * k1 + a1 * h0 - b1 * k0
+                  - f0 * c1 + g0 * e1 - f1 * c0 + g1 * e0,
+                  a1 * h1 - b1 * k1 + a2 * h0 - b2 * k0
+                  - f1 * c1 + g1 * e1 - f2 * c0 + g2 * e0,
+                  a2 * h1 - b2 * k1 - f2 * c1 + g2 * e1)
+            im = (a0 * k0 + b0 * h0 - f0 * e0 - g0 * c0,
+                  a0 * k1 + b0 * h1 + a1 * k0 + b1 * h0
+                  - f0 * e1 - g0 * c1 - f1 * e0 - g1 * c0,
+                  a1 * k1 + b1 * h1 + a2 * k0 + b2 * h0
+                  - f1 * e1 - g1 * c1 - f2 * e0 - g2 * c0,
+                  a2 * k1 + b2 * h1 - f2 * e1 - g2 * c1)
+            if any(re) or any(im):
+                yield re, im
 
 
 def _rank_one_gcd(mc, nc) -> Optional[PolyQi]:
-    """The gcd of the rank-one minors, or None when they all vanish.
+    """The monic gcd of the rank-one minors, or None when they all vanish.
 
-    Scaling a minor by a nonzero constant leaves the monic gcd, and so its
-    roots and factors, unchanged.
+    The minors go into one `RowSpan`, and the gcd is taken over its reduced
+    rows, at most 4 of them.  Those rows and the minors span the same space,
+    so they generate the same ideal and have the same gcd.
     """
-    minors = _rank_one_minors(mc, nc)
-    if not minors:
+    span = RowSpan(_rank_one_minors(mc, nc))
+    if not span.dim:
         return None
-    g = _int_poly(minors[0])
-    for key in minors[1:]:
-        if g.degree == 0:
-            break
-        g = poly_gcd(g, _int_poly(key))
+    g = PolyQi(())
+    for row, d in span.rows.values():
+        re, im = zip(*(row.get(j, (0, 0)) for j in range(4)))
+        g = poly_gcd(g, PolyQi._make(re, im, d))
     return g
 
 
@@ -519,22 +510,21 @@ def _find_severi_points(X: JordanMatrix, Y: JordanMatrix) -> SeveriPointReport:
         points.append(SeveriPoint(special=(cls_y == SeveriClass.SQUARE_ZERO),
                                   param=(GR_ZERO, GR_ONE), matrix=Y))
     if g.degree > 0:
-        squares = None
-        for factor, _mult in squarefree_factors(g):
-            roots, leftovers = roots_qi(factor)
-            for t0 in roots:
-                m = X + Y.scale(t0)
-                cls = _check_rank_one(m)
-                points.append(SeveriPoint(special=(cls == SeveriClass.SQUARE_ZERO),
-                                          param=(GR_ONE, t0), matrix=m))
-            for irr in leftovers:
-                if squares is None:
-                    # full-matrix coordinates of M(t)^2, for squareness mod irr
-                    squares = [_int_poly(c) for c in _over_common_denominator(
-                        [(A.nr, A.ni, A.d) for A in sq])]
-                special = all(irr.divides(c) for c in squares)
-                points.append(SeveriPoint(special=special, param=None, matrix=None,
-                                          extension_degree=irr.degree))
+        # the points are the roots of the squarefree part g / gcd(g, g')
+        squarefree, _ = g.divmod(poly_gcd(g, g.derivative()))
+        roots, leftovers = roots_qi(squarefree)
+        for t0 in roots:
+            m = X + Y.scale(t0)
+            cls = _check_rank_one(m)
+            points.append(SeveriPoint(special=(cls == SeveriClass.SQUARE_ZERO),
+                                      param=(GR_ONE, t0), matrix=m))
+        for irr in leftovers:
+            # full-matrix coordinates of M(t)^2, for squareness mod irr
+            squares = [PolyQi._make(re, im, 1) for re, im in _over_common_denominator(
+                [(A.nr, A.ni, A.d) for A in sq])]
+            special = all(irr.divides(c) for c in squares)
+            points.append(SeveriPoint(special=special, param=None, matrix=None,
+                                      extension_degree=irr.degree))
     return SeveriPointReport(whole_line=False, points=tuple(points))
 
 

@@ -1,7 +1,9 @@
 """Source rules that hold for the whole package, and what the benchmark needs of it."""
 
 import ast
+import hashlib
 import importlib.util
+import json
 import re
 import sys
 from collections import Counter
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import jordanred
 from jordanred.algebra import ALG_R
+from jordanred.reductions import ReductionLine, severi_points_on_line
 
 SRC = Path(jordanred.__file__).resolve().parent
 
@@ -74,6 +77,38 @@ def test_two_benchmark_line_groups_come_out_right(monkeypatch):
                for wl in stream.next_group()]
     assert [r.orbit for r in results] == list(lines.ORBITS) * 2
     assert all(r.ok for r in results), [r.outcome for r in results]
+
+
+# A digest of the sorted rank-one points of each line of the first two groups
+# of each line workload at seed 1.  The codim-1 and codim-2 lines among them
+# have minors' gcds with repeated factors, (t-a)(t-b)^2 and (t-a)^3.
+BENCHMARK_POINT_DIGESTS = {
+    "orbit_stream": ["3048716f1995a497", "67d0e8282e9d4e68", "e19c0527505cdcfa",
+                     "1c28f2eb0958c3d1", "4320c8d3728409bf", "e1ffb4db430e520c",
+                     "bdfad5211e75cf75", "1c28f2eb0958c3d1"],
+    "tall_lines": ["b76f6788aa825993", "29918fab4b1954ca", "bc454d195813f026",
+                   "1c28f2eb0958c3d1", "a457167cca489eec", "765628f71fb32d4f",
+                   "e46372be447d5375", "1c28f2eb0958c3d1"],
+}
+
+
+def _point_digest(line):
+    """The sorted multiset of (param, special, extension_degree), hashed."""
+    pts = severi_points_on_line(line)
+    items = sorted(json.dumps([None if p.param is None else [c.to_json() for c in p.param],
+                               p.special, p.extension_degree]) for p in pts.points)
+    return hashlib.sha256(json.dumps([pts.whole_line] + items).encode()).hexdigest()[:16]
+
+
+def test_the_rank_one_points_of_benchmark_lines_are_pinned(monkeypatch):
+    """The points of two groups of each line workload, parameters included."""
+    perfbench_module("spans", monkeypatch)
+    lines = perfbench_module("lines", monkeypatch)
+    for workload, want in BENCHMARK_POINT_DIGESTS.items():
+        stream = lines.LineStream(workload, 1)
+        got = [_point_digest(ReductionLine.from_json(json.loads(wl.wire)))
+               for _ in range(2) for wl in stream.next_group()]
+        assert got == want, workload
 
 
 def test_the_elimination_kernel_is_integer_only():

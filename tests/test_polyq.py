@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
-from jordanred.gaussrat import GR_ONE, gr
+from jordanred.gaussrat import GR_ONE, GR_ZERO, gr
 from jordanred.polyq import (PolyQi, integer_divisors, poly_gcd,
-                             rational_roots_of_int_poly, roots_qi,
-                             squarefree_factors)
+                             rational_roots_of_int_poly, roots_qi)
 
 
 def P(*cs):
@@ -78,14 +77,6 @@ def test_irreducible_over_qi(poly):
     assert not roots and len(left) == 1 and left[0].degree == poly.degree
 
 
-def test_squarefree_decomposition():
-    f = linear(gr(1)) * linear(gr(1)) * linear(gr(1)) * linear(gr(-2))
-    parts = squarefree_factors(f)
-    assert sorted((g.degree, m) for g, m in parts) == [(1, 1), (1, 3)]
-    for g, _ in parts:
-        assert g.degree == 1
-
-
 def test_integer_helpers():
     assert integer_divisors(12) == [1, 2, 3, 4, 6, 12]
     assert integer_divisors(-7) == [1, 7]
@@ -93,6 +84,112 @@ def test_integer_helpers():
         integer_divisors(0)
     assert set(rational_roots_of_int_poly([6, -5, 1])) == {Fraction(2), Fraction(3)}
     assert Fraction(1, 2) in rational_roots_of_int_poly([-1, 0, 4])
+
+
+# -- the numerator triple against schoolbook loops on GaussRational lists --------
+
+
+def ref_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [GR_ZERO] * (n - len(a)), b + [GR_ZERO] * (n - len(b))
+    return ref_strip(x + y * sign for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [GR_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_strip(out)
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [GR_ZERO] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = rem[k + j] - c * y
+    return ref_strip(quot), ref_strip(rem)
+
+
+def ref_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_eval(a, t):
+    acc = GR_ZERO
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def _scalar(rng, kind):
+    if kind == "small":
+        return gr(rng.randint(-2, 2), rng.randint(-2, 2))
+    if kind == "tall":
+        return gr(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
+    return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def _random_coeffs(rng, kind):
+    """Up to 5 coefficients, sometimes with trailing zeros."""
+    cs = [_scalar(rng, kind) for _ in range(rng.randint(0, 5))]
+    return cs + [GR_ZERO] * rng.choice((0, 0, 2))
+
+
+def _assert_normalised(p, ref):
+    assert list(p.coeffs) == ref
+    assert len(p.nr) == len(p.ni) == len(ref)
+    assert p.d > 0 and gcd(p.d, *p.nr, *p.ni) == 1
+    assert all(type(v) is int for v in p.nr + p.ni + (p.d,))
+
+
+@pytest.mark.parametrize("kind", ("small", "tall", "mixed"))
+def test_triple_polynomials_match_the_schoolbook_loops(kind):
+    rng = random.Random("polyq/" + kind)
+    for _ in range(60):
+        ca, cb = _random_coeffs(rng, kind), _random_coeffs(rng, kind)
+        a, b = PolyQi(ca), PolyQi(cb)
+        ra, rb = ref_strip(ca), ref_strip(cb)
+        _assert_normalised(a, ra)
+        _assert_normalised(a + b, ref_add(ra, rb))
+        _assert_normalised(a - b, ref_add(ra, rb, -1))
+        _assert_normalised(a * b, ref_mul(ra, rb))
+        _assert_normalised(a.monic(), ref_monic(ra))
+        _assert_normalised(a.derivative(), ref_strip(c * k for k, c in enumerate(ra))[1:])
+        _assert_normalised(a.conj_coeffs(), [c.conj() for c in ra])
+        t = _scalar(rng, kind)
+        assert a(t) == ref_eval(ra, t)
+        if rb:
+            q, r = a.divmod(b)
+            rq, rr = ref_divmod(ra, rb)
+            _assert_normalised(q, rq)
+            _assert_normalised(r, rr)
+        # a common factor c, so the gcd is not always 1
+        c = PolyQi(_random_coeffs(rng, kind)[:3])
+        rc = list(c.coeffs)
+        _assert_normalised(poly_gcd(a * c, b * c), ref_gcd(ref_mul(ra, rc), ref_mul(rb, rc)))
+        # equal polynomials have equal fields and hashes
+        for same in ((a + b) - b, PolyQi(list(a.coeffs) + [GR_ZERO]), a.conj_coeffs().conj_coeffs()):
+            assert same == a and hash(same) == hash(a)
+            assert (same.nr, same.ni, same.d) == (a.nr, a.ni, a.d)
 
 
 # -- rational roots against a brute-force Fraction reference -------------------

@@ -140,8 +140,11 @@ def test_ker_pi_dimension(tag):
     n = 3 * tag.dim + 2
     assert len(wedge_pairs(tag)) == n * (n - 1) // 2
     assert ker_pi_dim(tag) == KER_PI_DIMS[tag.dim]
-    assert [vector_view(v) for v in ker_pi_basis(tag)] == \
+    basis = ker_pi_basis(tag)
+    assert [vector_view(v) for v in basis] == \
         ref_nullspace(pi_functional_matrix(tag), len(wedge_pairs(tag)))
+    # the kernel is real: its vectors share one all-zero imaginary tuple
+    assert len({id(im) for _, im, _ in basis}) == 1 and not any(basis[0][1])
 
 
 @pytest.mark.parametrize("tag", (ALG_R, ALG_C, ALG_H), ids=str)
