@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional
 
 from . import bott as bott_mod
@@ -75,8 +76,8 @@ class Report:
     result: Optional[dict] = None
 
     def add(self, name, expected, computed, tag):
-        self.checks.append(Check(name, _plain(expected), _plain(computed),
-                                 _plain(expected) == _plain(computed), tag))
+        expected, computed = _plain(expected), _plain(computed)
+        self.checks.append(Check(name, expected, computed, expected == computed, tag))
 
     def add_bool(self, name, computed, tag):
         self.add(name, True, bool(computed), tag)
@@ -518,8 +519,6 @@ def build_bott(weights: str) -> Report:
     rep.add("integrals at a second generic weight vector",
             list(loc.integrals), list(bott_mod.localize(second).integrals),
             "derived")
-    from fractions import Fraction
-
     chi = Fraction(717 - 3 * i1, 12)
     rep.add("Riemann-Roch: chi(O_C(1)) is the section count", "17", str(chi),
             "derived")

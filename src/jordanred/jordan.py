@@ -335,14 +335,12 @@ def discriminant(X: JordanMatrix) -> GaussRational:
 
 
 def rank_one_from_chart(tag: AlgebraTag, x: AlgElement, y: AlgElement) -> JordanMatrix:
-    """The rank-one matrix with first row (1, x, y) in the affine chart c_1 = 1."""
-    one = AlgElement.one(tag)
-    e = [
-        [one, x, y],
-        [x.conj(), AlgElement.scalar(tag, qbilin(x, x)), x.conj() * y],
-        [y.conj(), y.conj() * x, AlgElement.scalar(tag, qbilin(y, y))],
-    ]
-    return JordanMatrix.from_entries(tag, e)
+    """The rank-one matrix with first row (1, x, y) in the affine chart c_1 = 1.
+
+    Its diagonal is (1, q(x), q(y)) and its slots x_1, x_2, x_3 are
+    conj(x) y, conj(y) and x.
+    """
+    return JordanMatrix(tag, (1, qbilin(x, x), qbilin(y, y)), (x.conj() * y, y.conj(), x))
 
 
 def sigma1(X: JordanMatrix) -> JordanMatrix:

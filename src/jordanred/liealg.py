@@ -10,7 +10,8 @@ c_k by +2s q(a, x_i), x_i by s (c_j - c_k) a, x_j by s conj(x_k a) and x_k by
 -s conj(a x_j); a triality triple (v1, v2, v3) sends x1 to v3 x1, x2 to
 conj v1 conj x2 and x3 to v2 x3.  Its restriction to the traceless subspace
 J0 in a fixed basis is an integer matrix too, so that membership, stabilizer
-and tangent computations reduce to exact linear algebra.
+and tangent computations reduce to exact linear algebra.  A matrix with a
+trace reaches J0 along the identity, through `traceless_numerators` only.
 
 Basis of J0 (dimension 3a + 2):
     D1 = diag(1,-1,0), D2 = diag(0,1,-1),
@@ -56,6 +57,17 @@ def j0_numerators(X: JordanMatrix):
         raise ValueError("matrix is not traceless")
     nr, ni = X.nr, X.ni
     return (nr[0], -nr[2]) + nr[3:], (ni[0], -ni[2]) + ni[3:], X.d
+
+
+def traceless_numerators(Z: JordanMatrix):
+    """The J0 numerators of Z - (trace Z / 3) I over 3d, not normalised.
+
+    The one place that projects onto J0 along I: over 3d the J0 coordinates
+    c_1 and -c_3 are 2c_1 - c_2 - c_3 and c_1 + c_2 - 2c_3, and the slots 3x.
+    """
+    def part(v):
+        return (2 * v[0] - v[1] - v[2], v[0] + v[1] - 2 * v[2]) + tuple(3 * c for c in v[3:])
+    return part(Z.nr), part(Z.ni), 3 * Z.d
 
 
 def j0_from_numerators(tag: AlgebraTag, nr, ni, d) -> JordanMatrix:
@@ -577,6 +589,6 @@ def _unipotent_factor(tag: AlgebraTag, j: int, t: int):
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:
     """Apply a linear map on J0 coordinates, a matrix triple, to a matrix, fixing I."""
     mr, mi, md = mat
+    xr, xi, xd = traceless_numerators(X)
     shift = JordanMatrix.identity(tag).scale(X.trace() / 3)
-    xr, xi, xd = j0_numerators(X - shift)
     return j0_from_numerators(tag, *mat_vec(mr, xr, xi, md * xd, mi)) + shift

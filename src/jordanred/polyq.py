@@ -12,6 +12,7 @@ the numerators directly.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
@@ -176,8 +177,6 @@ def poly_gcd(a: PolyQi, b: PolyQi) -> PolyQi:
 def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
-    import random
-
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         x = rng.randrange(2, n)

@@ -4,7 +4,9 @@ A candidate point is a 2-plane span{X, Y} of traceless Jordan matrices; it
 lies on the variety of reductions exactly when trace(X o (u Y)) = 0 for every
 derivation u.  Orbit classification, the count of rank-one points on a member
 line, and tangent-space dimensions all reduce to exact linear algebra and to
-root extraction for binary forms of degree at most 3.
+root extraction for binary forms of degree at most 3.  The rank-one points
+are the common roots of the 2x2 minors of the pencil (M(t), N(t)); only the
+2n - 3 minors against two pivot coordinates are formed (see `_rank_one_gcd`).
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from typing import List, Optional, Tuple
 from .algebra import AlgebraTag, AlgElement
 from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, mat_vec, normalize,
                        to_numerators)
-from .jordan import (THIRD, JordanMatrix, SeveriClass, char_poly, classify_severi,
-                     discriminant, inner, jordan_mul)
+from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi, discriminant,
+                     inner, jordan_mul)
 from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
-                     so3a_matrices)
+                     so3a_matrices, traceless_numerators)
 from .linalg import RowSpan, nullspace, rank
 from .polyq import PolyQi, poly_gcd, roots_qi
 
@@ -43,7 +45,7 @@ class ReductionLine:
             raise ValueError("algebra mismatch")
         if not (X.is_traceless() and Y.is_traceless()):
             raise ValueError("spanning matrices must be traceless")
-        if not _independent(j0_numerators(X), j0_numerators(Y)):
+        if _pivots(j0_numerators(X)[:2], j0_numerators(Y)[:2]) is None:
             raise ValueError("spanning matrices must be linearly independent")
         self._X = X
         self._Y = Y
@@ -83,22 +85,22 @@ class ReductionLine:
         return cls(X, Y)
 
 
-def _independent(x, y) -> bool:
-    """Whether two numerator vectors of J0 are linearly independent.
+def _pivots(x, y):
+    """Coordinates (r, s) with x_r y_s - x_s y_r != 0, or None if x, y are dependent.
 
-    With x_r the first nonzero entry of x, they are dependent exactly when
-    every x_r y_s - x_s y_r vanishes; the test stops at the first that does not.
+    x and y are numerator vectors (re, im); r is the first nonzero entry of x
+    and s the first coordinate that makes the minor nonzero.
     """
-    xr, xi, _ = x
-    yr, yi, _ = y
+    xr, xi = x
+    yr, yi = y
     r = next((k for k, (a, b) in enumerate(zip(xr, xi)) if a or b), None)
     if r is None:
-        return False
+        return None
     a, b, c, e = xr[r], xi[r], yr[r], yi[r]
-    for f, g, h, k in zip(xr, xi, yr, yi):
+    for s, (f, g, h, k) in enumerate(zip(xr, xi, yr, yi)):
         if a * h - b * k - f * c + g * e or a * k + b * h - f * e - g * c:
-            return True
-    return False
+            return r, s
+    return None
 
 
 # -- membership -----------------------------------------------------------------
@@ -333,27 +335,17 @@ def pierce_from_roots(X: JordanMatrix, roots) -> PierceTriple:
 def omega_plucker(triple: PierceTriple):
     """The wedge representative of the plane of a Pierce triple.
 
-    Each idempotent is first projected to J0 along the identity; the result is
-    trace(e1) p(e2) wedge p(e3) + cyclic, which lands in the kernel of the
-    projection.  It comes back as a normalised wedge triple (re, im, d).
+    It is trace(e1) p(e2) wedge p(e3) + cyclic, with p the projection to J0
+    along the identity, and lands in the kernel of the projection.  Each trace
+    is 1 and p(e1) + p(e2) + p(e3) = p(I) = 0, so every cyclic term equals
+    p(e1) wedge p(e2) and the sum is three times it.  It comes back as a
+    normalised wedge triple (re, im, d).
     """
     if not triple.validate():
         raise ValueError("not a Pierce decomposition")
-    tag = triple.e1.tag
-    ident = JordanMatrix.identity(tag)
-    members = triple.members()
-    coords = [j0_numerators(e - ident.scale(e.trace() * THIRD)) for e in members]
-    re = im = [0] * len(wedge_pairs(tag))
-    d = 1
-    for i, e in enumerate(members):
-        t = e.trace()
-        wr, wi, wd = _wedge_numerators(tag, coords[(i + 1) % 3], coords[(i + 2) % 3])
-        # re/d + t (wr + i wi)/wd, over d t.d wd
-        f = t.d * wd
-        re = [a * f + d * (t.nr * b - t.ni * c) for a, b, c in zip(re, wr, wi)]
-        im = [a * f + d * (t.nr * c + t.ni * b) for a, b, c in zip(im, wr, wi)]
-        d *= f
-    return normalize(re, im, d)
+    re, im, d = _wedge_numerators(triple.e1.tag, traceless_numerators(triple.e1),
+                                  traceless_numerators(triple.e2))
+    return normalize([3 * v for v in re], [3 * v for v in im], d)
 
 
 # -- rank-one points on a member line ------------------------------------------------
@@ -406,35 +398,35 @@ def _pencil_polys(X: JordanMatrix, Y: JordanMatrix):
     """Coordinate polynomials of M(t) = X + tY and N(t) = M^2 - (Q/3) I.
 
     M and N are each written over one common denominator (see
-    `_over_common_denominator`); the Jordan squares (X o X, 2 X o Y, Y o Y)
-    of M(t)^2 come along for squareness checks.
+    `_over_common_denominator`).  With Q = trace(M o M), N is the traceless
+    part of the Jordan squares (X o X, 2 X o Y, Y o Y) of M(t)^2, which come
+    along for squareness checks.
     """
-    tag = X.tag
-    xx, xy, yy = jordan_mul(X, X), jordan_mul(X, Y), jordan_mul(Y, Y)
-    q0, q1, q2 = inner(X, X), inner(X, Y), inner(Y, Y)
-    ident = JordanMatrix.identity(tag)
-    n0 = xx - ident.scale(q0 * THIRD)
-    n1 = (xy - ident.scale(q1 * THIRD)).scale(2)
-    n2 = yy - ident.scale(q2 * THIRD)
-    # J0 coordinates are only defined for traceless matrices; N(t) is traceless
+    sq = (jordan_mul(X, X), jordan_mul(X, Y).scale(2), jordan_mul(Y, Y))
     mc = _over_common_denominator([j0_numerators(X), j0_numerators(Y)])
-    nc = _over_common_denominator([j0_numerators(n) for n in (n0, n1, n2)])
-    return mc, nc, (xx, xy.scale(2), yy)
+    nc = _over_common_denominator([traceless_numerators(A) for A in sq])
+    return mc, nc, sq
 
 
 def _rank_one_minors(mc, nc):
-    """The nonzero 2x2 minors N_r M_s - N_s M_r as (re, im) numerator rows.
+    """The nonzero minors N_p M_k - N_k M_p as (re, im) numerator rows.
 
-    M(t) and N(t) are each written over one common denominator, so every
-    minor is scaled by the same nonzero constant and comes out with Gaussian
-    integer coefficients of degrees 0 to 3.
+    p runs over the pivots (r, s) that `_pivots` finds for the line
+    M(t) = x + ty and k over the other coordinates: 2n - 3 minors for n
+    coordinates.  M and N are each over one common denominator, so every
+    minor is scaled by the same nonzero constant and has Gaussian integer
+    coefficients of degrees 0 to 3.
     """
-    for r in range(len(mc)):
-        (a0, a1, a2), (b0, b1, b2) = nc[r]
-        (c0, c1), (e0, e1) = mc[r]
-        for s in range(r + 1, len(mc)):
-            (f0, f1, f2), (g0, g1, g2) = nc[s]
-            (h0, h1), (k0, k1) = mc[s]
+    (xr, yr), (xi, yi) = (zip(*part) for part in zip(*mc))
+    r, s = _pivots((xr, xi), (yr, yi))
+    for p in (r, s):
+        (a0, a1, a2), (b0, b1, b2) = nc[p]
+        (c0, c1), (e0, e1) = mc[p]
+        for j in range(len(mc)):
+            if j == p or (p == s and j == r):  # m_sr is m_rs up to sign
+                continue
+            (f0, f1, f2), (g0, g1, g2) = nc[j]
+            (h0, h1), (k0, k1) = mc[j]
             # (a + ib)(h + ik) - (f + ig)(c + ie), degree by degree
             re = (a0 * h0 - b0 * k0 - f0 * c0 + g0 * e0,
                   a0 * h1 - b0 * k1 + a1 * h0 - b1 * k0
@@ -453,11 +445,14 @@ def _rank_one_minors(mc, nc):
 
 
 def _rank_one_gcd(mc, nc) -> Optional[PolyQi]:
-    """The monic gcd of the rank-one minors, or None when they all vanish.
+    """The monic gcd of all 2x2 minors m_jk = N_j M_k - N_k M_j, or None if they vanish.
 
-    The minors go into one `RowSpan`, and the gcd is taken over its reduced
-    rows, at most 4 of them.  Those rows and the minors span the same space,
-    so they generate the same ideal and have the same gcd.
+    Only the minors against the pivots r, s of `_rank_one_minors` are formed,
+    and they generate the same ideal as all of them: x_r y_s - x_s y_r != 0,
+    so M_r and M_s share no root and a M_r + b M_s = 1 for some polynomials
+    a, b; and M_r m_jk = M_j m_rk - M_k m_rj for any j, k, likewise with s in
+    place of r, so m_jk = a M_r m_jk + b M_s m_jk.  They go into one `RowSpan`,
+    whose at most 4 reduced rows span the same space and so have the same gcd.
     """
     span = RowSpan(_rank_one_minors(mc, nc))
     if not span.dim:
@@ -620,11 +615,9 @@ def eval_cubic_theta(tag: AlgebraTag, theta, X: JordanMatrix) -> GaussRational:
     if not in_ker_pi(tag, theta):
         raise ValueError("theta is not in the kernel of the projection")
     tr, ti, td = theta
-    q = inner(X, X)
-    c = jordan_mul(X, X) - JordanMatrix.identity(tag).scale(q * THIRD)
     g = j0_gram(tag)
     wr, wi, wd = _wedge_numerators(tag, mat_vec(g, *j0_numerators(X)),
-                                   mat_vec(g, *j0_numerators(c)))
+                                   mat_vec(g, *traceless_numerators(jordan_mul(X, X))))
     return GaussRational._make(*bilinear(tr, ti, wr, wi), td * wd)
 
 

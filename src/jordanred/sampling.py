@@ -8,10 +8,12 @@ small Gaussian integers to keep the exact arithmetic fast.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .algebra import AlgebraTag, AlgElement, qbilin
 from .gaussrat import GR_I, GR_ONE, GaussRational
-from .jordan import THIRD, JordanMatrix, rank_one_from_chart
+from .jordan import JordanMatrix, rank_one_from_chart
+from .liealg import apply_j0_linear, j0_from_numerators, random_unipotent, traceless_numerators
 from .reductions import ReductionLine, pierce_from_roots
 
 DEFAULT_SEED = 20570
@@ -65,9 +67,7 @@ def random_rank_one(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
 def random_projected_rank_one(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
     """A traceless matrix on the projection of the rank-one locus."""
     while True:
-        z = random_rank_one(tag, rng)
-        t = z.trace()
-        x = z - JordanMatrix.identity(tag).scale(t / 3)
+        x = j0_from_numerators(tag, *traceless_numerators(random_rank_one(tag, rng)))
         if not x.is_zero():
             return x
 
@@ -92,8 +92,6 @@ def element_of_norm(tag: AlgebraTag, target: GaussRational) -> AlgElement:
 
 def random_square_zero(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
     """A traceless matrix with vanishing square (rank one on the hyperplane)."""
-    from fractions import Fraction
-
     if tag.dim == 1:
         # 1 + x0^2 must be a rational square: x0 = (m^2-1)/2m works
         m = rng.randint(2, 9)
@@ -110,8 +108,6 @@ def random_square_zero(tag: AlgebraTag, rng: random.Random) -> JordanMatrix:
 
 def random_pierce_triple(tag: AlgebraTag, rng: random.Random):
     """A Pierce triple conjugate to the diagonal one by a unipotent automorphism."""
-    from .liealg import apply_j0_linear, random_unipotent
-
     g = random_unipotent(tag, rng, factors=2)
     x = apply_j0_linear(tag, g, JordanMatrix.diag(tag, -1, 0, 1))
     return pierce_from_roots(x, (GaussRational(-1), GaussRational(0), GaussRational(1)))
@@ -120,7 +116,5 @@ def random_pierce_triple(tag: AlgebraTag, rng: random.Random):
 def random_member_line(tag: AlgebraTag, rng: random.Random) -> ReductionLine:
     """A random member of the variety of reductions, from a Pierce triple."""
     tri = random_pierce_triple(tag, rng)
-    ident = JordanMatrix.identity(tag)
-    p1 = tri.e1 - ident.scale(THIRD)
-    p2 = tri.e2 - ident.scale(THIRD)
-    return ReductionLine(p1, p2)
+    return ReductionLine(*(j0_from_numerators(tag, *traceless_numerators(e))
+                           for e in (tri.e1, tri.e2)))

@@ -128,6 +128,7 @@ def test_rank_one_chart(tag):
     for _ in range(10):
         x, y = random_element(tag, rng), random_element(tag, rng)
         z = rank_one_from_chart(tag, x, y)
+        assert z.entries()[0] == [AlgElement.one(tag), x, y]
         assert is_rank_one(z)
         assert det(z) == GR_ZERO
         _, _, qp = trace_forms(z)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ZERO, gr, mat_vec
+from jordanred.gaussrat import GR_ZERO, gr, mat_vec, normalize
 from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               bform_inverse, bracket_in_span,
@@ -12,8 +12,8 @@ from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               j0_numerators, lr_triality_triple,
                               nilpotent_generators, random_unipotent,
                               so3a_basis, so3a_rank, stabilizer_dims,
-                              standard_derivation, triality_basis,
-                              triality_identity_holds)
+                              standard_derivation, traceless_numerators,
+                              triality_basis, triality_identity_holds)
 from jordanred.linalg import RowSpan
 from jordanred.sampling import make_rng, random_jordan, random_traceless
 from test_flat_kernels import left_mult_matrix, view
@@ -25,6 +25,18 @@ T_DIMS = {1: 0, 2: 2, 4: 9, 8: 28}
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_triality_dimension(tag):
     assert len(triality_basis(tag)) == T_DIMS[tag.dim]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_traceless_numerators_project_along_the_identity(tag):
+    rng = make_rng(70 + ALL_TAGS.index(tag))
+    ident = JordanMatrix.identity(tag)
+    for _ in range(10):
+        Z = random_jordan(tag, rng).scale(gr(Fraction(2, 3), Fraction(1, 5)))
+        Z = Z + ident.scale(gr(Fraction(1, 7), 2))
+        assert Z.d > 1 and Z.trace().im != 0
+        want = j0_numerators(Z - ident.scale(Z.trace() / 3))
+        assert normalize(*traceless_numerators(Z)) == want
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)

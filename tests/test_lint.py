@@ -27,6 +27,18 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_imports_sit_at_module_level():
+    """No import statement inside a function body of the package."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend("%s:%d" % (path.name, sub.lineno) for sub in ast.walk(node)
+                             if isinstance(sub, (ast.Import, ast.ImportFrom)))
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert not found, found
+
+
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package is named somewhere else."""
     root = SRC.parents[1]

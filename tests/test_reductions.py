@@ -393,6 +393,24 @@ def test_a_line_computes_its_wedge_and_pencil_once(tag, orbit, order, monkeypatc
     assert first[entries.index(tangent_dim)] == 3 * tag.dim
 
 
+def test_the_rank_one_gcd_needs_both_pivots():
+    """M = (1 - t, t, 0) and N = (1 - t, t, 1): the minors against pivot 0
+    alone have gcd t - 1 and those against pivot 1 alone have gcd t, but all
+    the minors together have gcd 1."""
+    mc = [((1, -1), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 0))]
+    nc = [((1, -1, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0))]
+    g = reductions._rank_one_gcd(mc, nc)
+    assert g is not None and g.degree == 0
+
+
+@pytest.mark.parametrize("orbit", available_orbits(ALG_O), ids=lambda o: o.value)
+def test_an_octonion_line_forms_at_most_2n_minus_3_minors(orbit):
+    line = moved_representative(ALG_O, orbit)
+    mc, nc, _ = reductions._pencil_polys(line.X, line.Y)
+    assert len(mc) == 26
+    assert len(list(reductions._rank_one_minors(mc, nc))) <= 2 * 26 - 3
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_a_non_member_raises_from_every_entry_point_on_every_call(tag):
     line = off_diag_perturbation(tag)
