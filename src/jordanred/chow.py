@@ -210,7 +210,7 @@ def severi_betti(a: int, p: int) -> int:
     """Even Betti numbers of the rank-one locus (dimension 2a), for a >= 2."""
     if p < 0 or p > 2 * a:
         return 0
-    if p < a / 2 or p > 3 * a / 2:
+    if 2 * p < a or 2 * p > 3 * a:
         return 1
     if p == a:
         return 3

@@ -9,9 +9,14 @@ components by one cyclic rule: with (j, k) = (i + 1, i + 2) and s = +1, +1,
 c_k by +2s q(a, x_i), x_i by s (c_j - c_k) a, x_j by s conj(x_k a) and x_k by
 -s conj(a x_j); a triality triple (v1, v2, v3) sends x1 to v3 x1, x2 to
 conj v1 conj x2 and x3 to v2 x3.  Its restriction to the traceless subspace
-J0 in a fixed basis is an integer matrix too, so that membership, stabilizer
-and tangent computations reduce to exact linear algebra.  A matrix with a
-trace reaches J0 along the identity, through `traceless_numerators` only.
+J0 in a fixed basis is an integer matrix M_k too, so that membership,
+stabilizer and tangent computations reduce to exact linear algebra.  A
+matrix with a trace reaches J0 along the identity, through
+`traceless_numerators` only.  The pairing table `pi_table` holds the skew
+matrices S_k = G M_k, G the Gram matrix of the trace form on J0: they give
+the membership pairings x^T S_k y of `reductions` and the orbit map
+u -> (u v_1, ..., u v_m), whose rank `orbit_rank` is the one source of the
+stabilizer and tangent dimensions.
 
 Basis of J0 (dimension 3a + 2):
     D1 = diag(1,-1,0), D2 = diag(0,1,-1),
@@ -101,6 +106,13 @@ def j0_gram(tag: AlgebraTag):
             row.append(v.nr)
         g.append(tuple(row))
     return tuple(g)
+
+
+@lru_cache(maxsize=None)
+def wedge_pairs(tag: AlgebraTag):
+    """The index pairs (r, s), r < s, of the wedge square of J0, in order."""
+    n = j0_dim(tag)
+    return tuple((r, s) for r in range(n) for s in range(r + 1, n))
 
 
 # -- skew endomorphisms and the triality algebra -------------------------------
@@ -366,7 +378,61 @@ class LieCombo(FlatVector):
         return normalize_matrix(re, im, self.d)
 
 
-# -- stabilizers and orbit dimensions -------------------------------------------
+# -- the pairing table, the orbit map and stabilizers ----------------------------
+
+
+@lru_cache(maxsize=None)
+def pi_table(tag: AlgebraTag):
+    """The nonzero terms (w, r, s, c) of S_k = G M_k above the diagonal.
+
+    One tuple of terms per so3(A) basis operator M_k, with G the Gram matrix
+    of J0 and w the index of the wedge pair (r, s).  Each S_k is skew, since
+    derivations are orthogonal for the trace form, so x^T S_k y is the sum of
+    c (x_r y_s - x_s y_r) over the terms: a linear form on the wedge square.
+    """
+    g = j0_gram(tag)
+    # the nonzero entries G[r][t] of each column t of G
+    gcols = [[(r, row[t]) for r, row in enumerate(g) if row[t]] for t in range(len(g))]
+    index = {pair: w for w, pair in enumerate(wedge_pairs(tag))}
+    table = []
+    for m in so3a_matrices(tag):
+        sk = {}
+        for t, row in enumerate(m):
+            for s, c in enumerate(row):
+                if c:
+                    for r, gc in gcols[t]:
+                        sk[r, s] = sk.get((r, s), 0) + gc * c
+        # skew on the nonzero entries and their mirrors covers every entry
+        if any(sk.get((s, r), 0) != -v for (r, s), v in sk.items()):
+            raise ArithmeticError("G M_k is not skew: a realized operator is not "
+                                  "orthogonal for the trace form")
+        table.append(tuple(sorted((index[r, s], r, s, v)
+                                  for (r, s), v in sk.items() if r < s and v)))
+    return tuple(table)
+
+
+def orbit_rank(tag: AlgebraTag, *vectors) -> int:
+    """The rank of the orbit map u -> (u v_1, ..., u v_m) of so3(A) on J0.
+
+    Each v is a numerator triple (re, im, d) of J0 coordinates.  The row of
+    the basis operator M_k is (S_k v_1 | ... | S_k v_m) on the numerators,
+    with S_k = G M_k read off the skew terms of `pi_table`.  G is invertible
+    and each denominator scales one block of columns, so the rank is kept.
+    """
+    n = j0_dim(tag)
+    width = n * len(vectors)
+    blocks = [(i * n, vr, vi) for i, (vr, vi, _) in enumerate(vectors)]
+    rows = []
+    for terms in pi_table(tag):
+        re, im = [0] * width, [0] * width
+        for off, vr, vi in blocks:
+            for _, r, s, c in terms:
+                re[off + r] += c * vr[s]
+                im[off + r] += c * vi[s]
+                re[off + s] -= c * vr[r]
+                im[off + s] -= c * vi[r]
+        rows.append((re, im))
+    return rank(rows)
 
 
 def stabilizer_dims(X: JordanMatrix):
@@ -378,11 +444,8 @@ def stabilizer_dims(X: JordanMatrix):
     if X.is_zero():
         raise ValueError("zero matrix has no stabilizer data")
     tag = X.tag
-    nr, ni, d = j0_numerators(X)
-    ops = so3a_basis(tag)
-    # the numerators of each image u X: a nonzero multiple of it, so the rank is kept
-    r = rank(mat_vec(op.matrix, nr, ni, d)[:2] for op in ops)
-    return len(ops) - r, r, j0_dim(tag) - r
+    r = orbit_rank(tag, j0_numerators(X))
+    return len(pi_table(tag)) - r, r, j0_dim(tag) - r
 
 
 # -- brackets ---------------------------------------------------------------------

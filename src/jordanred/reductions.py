@@ -4,9 +4,11 @@ A candidate point is a 2-plane span{X, Y} of traceless Jordan matrices; it
 lies on the variety of reductions exactly when trace(X o (u Y)) = 0 for every
 derivation u.  Orbit classification, the count of rank-one points on a member
 line, and tangent-space dimensions all reduce to exact linear algebra and to
-root extraction for binary forms of degree at most 3.  The rank-one points
-are the common roots of the 2x2 minors of the pencil (M(t), N(t)); only the
-2n - 3 minors against two pivot coordinates are formed (see `_rank_one_gcd`).
+root extraction for binary forms of degree at most 3.  The pairings are read
+off `liealg.pi_table`, and the tangent dimension off `liealg.orbit_rank`.
+The rank-one points are the common roots of the 2x2 minors of the pencil
+(M(t), N(t)); only the 2n - 3 minors against two pivot coordinates are
+formed (see `_rank_one_gcd`).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, mat_vec, 
                        to_numerators)
 from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi, discriminant,
                      inner, jordan_mul)
-from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators,
-                     so3a_matrices, traceless_numerators)
-from .linalg import RowSpan, nullspace, rank
+from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators, orbit_rank,
+                     pi_table, traceless_numerators, wedge_pairs)
+from .linalg import RowSpan, nullspace
 from .polyq import PolyQi, poly_gcd, roots_qi
 
 
@@ -140,42 +142,6 @@ def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
 # -- the wedge square and the kernel of the projection ----------------------------
 
 
-@lru_cache(maxsize=None)
-def wedge_pairs(tag: AlgebraTag):
-    n = j0_dim(tag)
-    return tuple((r, s) for r in range(n) for s in range(r + 1, n))
-
-
-@lru_cache(maxsize=None)
-def pi_table(tag: AlgebraTag):
-    """The nonzero terms (w, r, s, c) of S_k = G M_k above the diagonal.
-
-    One tuple of terms per so3(A) basis operator M_k, with G the Gram matrix
-    of J0 and w the index of the wedge pair (r, s).  Each S_k is skew, since
-    derivations are orthogonal for the trace form, so x^T S_k y is the sum of
-    c (x_r y_s - x_s y_r) over the terms: a linear form on the wedge square.
-    """
-    g = j0_gram(tag)
-    # the nonzero entries G[r][t] of each column t of G
-    gcols = [[(r, row[t]) for r, row in enumerate(g) if row[t]] for t in range(len(g))]
-    index = {pair: w for w, pair in enumerate(wedge_pairs(tag))}
-    table = []
-    for m in so3a_matrices(tag):
-        sk = {}
-        for t, row in enumerate(m):
-            for s, c in enumerate(row):
-                if c:
-                    for r, gc in gcols[t]:
-                        sk[r, s] = sk.get((r, s), 0) + gc * c
-        # skew on the nonzero entries and their mirrors covers every entry
-        if any(sk.get((s, r), 0) != -v for (r, s), v in sk.items()):
-            raise ArithmeticError("G M_k is not skew: a realized operator is not "
-                                  "orthogonal for the trace form")
-        table.append(tuple(sorted((index[r, s], r, s, v)
-                                  for (r, s), v in sk.items() if r < s and v)))
-    return tuple(table)
-
-
 def pi_pairings(tag: AlgebraTag, re, im):
     """The linear forms F_k of the pi table on a wedge tensor, as integer sums.
 
@@ -241,31 +207,12 @@ def wedge_of(X: JordanMatrix, Y: JordanMatrix):
     return normalize(*_wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y)))
 
 
-@lru_cache(maxsize=None)
-def _bform_inverse_terms(tag: AlgebraTag):
-    """(rows, d): the nonzero entries (k, re, im) of each row of B^-1 over d."""
-    br, bi, bd = bform_inverse(tag)
-    return tuple(tuple((k, a, b) for k, (a, b) in enumerate(zip(ra, rb)) if a or b)
-                 for ra, rb in zip(br, bi)), bd
-
-
 def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge triples (re, im, d).
-
-    B^-1 is applied over its nonzero entries only; for O it is diagonal.
-    """
+    """Extension of the projection to arbitrary wedge triples (re, im, d)."""
     re, im, d = w
     vr, vi = zip(*pi_pairings(tag, re, im))
-    rows, bd = _bform_inverse_terms(tag)
-    out_re, out_im = [], []
-    for terms in rows:
-        a = b = 0
-        for k, p, q in terms:
-            a += p * vr[k] - q * vi[k]
-            b += p * vi[k] + q * vr[k]
-        out_re.append(a)
-        out_im.append(b)
-    return LieCombo(tag, out_re, out_im, bd * d)
+    br, bi, bd = bform_inverse(tag)
+    return LieCombo(tag, *mat_vec(br, vr, vi, bd * d, bi))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:
@@ -569,38 +516,14 @@ def classify_orbit(line: ReductionLine) -> OrbitClass:
 def tangent_dim(line: ReductionLine) -> int:
     """Dimension of the tangent space to the variety of reductions at the line.
 
-    Linearizes the membership pairings in (dX, dY), subtracts the 4 spanning
-    reparametrizations; smoothness predicts 3a everywhere.
+    Linearizes the membership pairings x^T S_k y in (dX, dY): their gradients
+    (S_k y | -S_k x) are the orbit map at (y, x) up to the sign of a column
+    block.  Subtracts the 4 spanning reparametrizations; smoothness predicts
+    3a everywhere.
     """
     _require_member(line)
-    return 2 * j0_dim(line.tag) - rank(_tangent_rows(line.X, line.Y)) - 4
-
-
-def _tangent_rows(X: JordanMatrix, Y: JordanMatrix):
-    """The gradients [S_k y ; -S_k x] of x^T S_k y, on integer numerators.
-
-    The dX block (entries from y) is scaled by dy and the dY block (entries
-    from x) by dx.  Scaling a column by a nonzero constant leaves the rank
-    unchanged, so each row is a pair (re, im) of Gaussian integer numerators,
-    as `linalg.rank` takes them.
-    """
-    n = j0_dim(X.tag)
-    xr, xi, _ = j0_numerators(X)
-    yr, yi, _ = j0_numerators(Y)
-    rows = []
-    for terms in pi_table(X.tag):
-        re, im = [0] * (2 * n), [0] * (2 * n)
-        for _, r, s, c in terms:
-            re[r] += c * yr[s]
-            im[r] += c * yi[s]
-            re[s] -= c * yr[r]
-            im[s] -= c * yi[r]
-            re[n + s] += c * xr[r]
-            im[n + s] += c * xi[r]
-            re[n + r] -= c * xr[s]
-            im[n + r] -= c * xi[s]
-        rows.append((re, im))
-    return rows
+    tag = line.tag
+    return 2 * j0_dim(tag) - 4 - orbit_rank(tag, j0_numerators(line.Y), j0_numerators(line.X))
 
 
 # -- cubic forms --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 `AlgElement` and `JordanMatrix` compute on integer numerators over one shared
 denominator, and so do the line path of `reductions` (wedge, pi pairings,
-tangent rows, rank-one minors) and the unipotent products of `liealg`.  The
+rank-one minors) and the orbit map and unipotent products of `liealg`.  The
 references below are the per-scalar loops they replace: the algebra product
 from the multiplication table, the cyclic formula for the Jordan product, the
 determinant from traces of Jordan powers, the wedge and pi contraction, the
@@ -28,14 +28,13 @@ from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
 from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, bform_gram,
                               exp_nilpotent, is_nilpotent, j0_basis, j0_coords, j0_dim,
                               j0_numerators, mult_matrices, nilpotent_generators,
-                              random_unipotent, so3a_basis, so3a_matrices, triality_basis)
-from jordanred.linalg import rank
+                              orbit_rank, pi_table, random_unipotent, so3a_basis,
+                              so3a_matrices, triality_basis, wedge_pairs)
 from jordanred.polyq import PolyQi, poly_gcd
 from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
                                   in_ker_pi, membership, membership_values, pi_of_wedge,
-                                  pi_table, project_so3a, representative,
-                                  severi_points_on_line, tangent_dim, wedge_of,
-                                  wedge_pairs)
+                                  project_so3a, representative,
+                                  severi_points_on_line, tangent_dim, wedge_of)
 from jordanred.sampling import make_rng, random_jordan, random_scalar
 
 HALF = GaussRational(Fraction(1, 2))
@@ -539,7 +538,8 @@ def _assert_line_path_matches(line):
     assert [sum((b * c for b, c in zip(row, combo.coeffs)), GR_ZERO)
             for row in bform_gram(tag)] == pairings
     assert combo.coeffs == project_so3a(X, Y).coeffs
-    assert rank(reductions._tangent_rows(X, Y)) == ref_rank(ref_tangent_rows(X, Y))
+    assert orbit_rank(tag, j0_numerators(Y), j0_numerators(X)) == \
+        ref_rank(ref_tangent_rows(X, Y))
     mc, nc, _ = reductions._pencil_polys(X, Y)
     g = reductions._rank_one_gcd(mc, nc)
     assert (g if g is None else g.monic()) == ref_minor_gcd(X, Y)

@@ -15,7 +15,8 @@ from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               standard_derivation, traceless_numerators,
                               triality_basis, triality_identity_holds)
 from jordanred.linalg import RowSpan
-from jordanred.sampling import make_rng, random_jordan, random_traceless
+from jordanred.sampling import (make_rng, random_jordan, random_projected_rank_one,
+                                random_square_zero, random_traceless)
 from test_flat_kernels import left_mult_matrix, view
 from test_linalg import ref_invert
 
@@ -132,6 +133,19 @@ def test_stabilizer_dims(tag):
     assert orb == 2 * a and perp == a + 2
     with pytest.raises(ValueError):
         stabilizer_dims(JordanMatrix.zero(tag))
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_stabilizer_dims_match_the_dense_images(tag):
+    """The orbit map read off the pairing table has the rank of the images
+    M_k x, each formed by a dense matrix-vector product."""
+    rng = make_rng(70 + ALL_TAGS.index(tag))
+    ops = so3a_basis(tag)
+    for draw in (random_traceless, random_projected_rank_one, random_square_zero):
+        for _ in range(3):
+            x = draw(tag, rng)
+            r = RowSpan(mat_vec(op.matrix, *j0_numerators(x))[:2] for op in ops).dim
+            assert stabilizer_dims(x) == (len(ops) - r, r, j0_dim(tag) - r)
 
 
 def test_stabilizer_dims_square_zero_point():

@@ -69,6 +69,18 @@ def perfbench_module(name, monkeypatch):
     return module
 
 
+# spans first: the others import its Tracer
+PERFBENCH_MODULES = ("spans", "kernels", "campaign", "lines", "setup_probe", "run")
+
+
+def test_every_benchmark_module_loads_against_the_package(monkeypatch):
+    """Each perfbench module imports, so every package name it imports still exists."""
+    found = sorted(path.stem for path in (SRC.parents[1] / "perfbench").glob("*.py"))
+    assert found == sorted(PERFBENCH_MODULES)
+    for name in PERFBENCH_MODULES:
+        perfbench_module(name, monkeypatch)
+
+
 def test_every_benchmarked_build_is_a_package_table(monkeypatch):
     """Each cold build that perfbench/setup_probe.py times still exists and builds."""
     probe = perfbench_module("setup_probe", monkeypatch)

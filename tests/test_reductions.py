@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from jordanred import reductions
+from jordanred import liealg, reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
 from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
                               inner, jordan_mul, sigma1, sigma2)
-from jordanred.liealg import apply_j0_linear, bform_gram, random_unipotent, so3a_basis
+from jordanred.liealg import (apply_j0_linear, bform_gram, random_unipotent, so3a_basis,
+                              wedge_pairs)
 from jordanred.reductions import (OrbitClass, ReductionLine,
                                   available_orbits, classify_orbit,
                                   eval_cubic_ab, eval_cubic_theta, in_ker_pi,
@@ -17,7 +18,7 @@ from jordanred.reductions import (OrbitClass, ReductionLine,
                                   pi_functional_matrix, pierce_from_roots, pi_of_wedge,
                                   project_so3a, representative,
                                   severi_points_on_line, tangent_dim,
-                                  wedge_of, wedge_pairs, z_representative)
+                                  wedge_of, z_representative)
 from jordanred.sampling import (make_rng, random_member_line,
                                 random_pierce_triple,
                                 random_projected_rank_one, random_square_zero,
@@ -126,13 +127,13 @@ def test_pi_table_rejects_a_non_skew_operator(monkeypatch):
     """The wedge fold needs G M_k skew; a non-orthogonal operator is refused."""
     n = 3 * ALG_R.dim + 2
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    reductions.pi_table.cache_clear()
-    monkeypatch.setattr(reductions, "so3a_matrices", lambda tag: [identity])
+    liealg.pi_table.cache_clear()
+    monkeypatch.setattr(liealg, "so3a_matrices", lambda tag: [identity])
     try:
         with pytest.raises(ArithmeticError):
-            reductions.pi_table(ALG_R)
+            liealg.pi_table(ALG_R)
     finally:
-        reductions.pi_table.cache_clear()
+        liealg.pi_table.cache_clear()
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
