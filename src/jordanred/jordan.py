@@ -23,6 +23,7 @@ read-only views.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import product
 from typing import Optional, Tuple
 
 from .algebra import (AlgebraTag, AlgElement, FlatVector, mul_numerators, qbilin,
@@ -82,30 +83,6 @@ class JordanMatrix(FlatVector):
     def zero(cls, tag: AlgebraTag) -> "JordanMatrix":
         z = (0,) * (3 * tag.dim + 3)
         return cls._raw(tag, z, z, 1)
-
-    @classmethod
-    def from_entries(cls, tag: AlgebraTag, entries) -> "JordanMatrix":
-        """Build from a full 3x3 array of AlgElement, checking Hermitian shape."""
-        for i in range(3):
-            d = entries[i][i]
-            if any(not c.is_zero() for c in d.coords[1:]):
-                raise ValueError("diagonal entries must be scalar")
-            for j in range(3):
-                if entries[i][j] != entries[j][i].conj():
-                    raise ValueError("matrix is not Hermitian")
-        c = tuple(entries[i][i].coords[0] for i in range(3))
-        x = (entries[1][2], entries[2][0], entries[0][1])
-        return cls(tag, c, x)
-
-    def entries(self):
-        """The full 3x3 array of AlgElement."""
-        s = [AlgElement.scalar(self.tag, ci) for ci in self.c]
-        x1, x2, x3 = self.x
-        return [
-            [s[0], x3, x2.conj()],
-            [x3.conj(), s[1], x1],
-            [x2, x1.conj(), s[2]],
-        ]
 
     def __repr__(self):
         return "JordanMatrix(%s, c=%r, x=%r)" % (self.tag, self.c, self.x)
@@ -183,19 +160,42 @@ def jordan_mul(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     return JordanMatrix._make(A.tag, nr, ni, 2 * A.d * B.d)
 
 
+def _entries(X: JordanMatrix):
+    """The full 3x3 array of X as (re, im) numerator entries over X.d."""
+    a = X.tag.dim
+    s = [((X.nr[i],) + (0,) * (a - 1), (X.ni[i],) + (0,) * (a - 1)) for i in range(3)]
+    x1, x2, x3 = [(X.nr[lo:lo + a], X.ni[lo:lo + a]) for lo in _slots(a)]
+    return [[s[0], x3, _conj(x2)], [_conj(x3), s[1], x1], [x2, _conj(x1), s[2]]]
+
+
+def _conj(e):
+    """conj on an (re, im) numerator entry: coordinates 1 to a - 1 negated."""
+    return tuple(part[:1] + tuple(-v for v in part[1:]) for part in e)
+
+
 def jordan_mul_full(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
-    """Oracle for jordan_mul: symmetrize the plain 3x3 matrix product."""
-    ea, eb = A.entries(), B.entries()
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            s = AlgElement.zero(A.tag)
-            for k in range(3):
-                s = s + ea[i][k] * eb[k][j] + eb[i][k] * ea[k][j]
-            row.append(s.scale(HALF))
-        out.append(row)
-    return JordanMatrix.from_entries(A.tag, out)
+    """Oracle for jordan_mul: symmetrize the plain 3x3 matrix product over A.
+
+    Both factors become nine (re, im) numerator entries (`_entries`).  Each
+    entry of AB + BA sums six `mul_numerators` products, over 2 d_A d_B with
+    the 1/2 in the denominator, and the result must be Hermitian with a scalar
+    diagonal.  It shares no formula with the cyclic one of jordan_mul.
+    """
+    A._check(B)
+    a = A.tag.dim
+    ea, eb = _entries(A), _entries(B)
+    p = [[None] * 3 for _ in range(3)]
+    for i, j in product(range(3), repeat=2):
+        terms = [mul_numerators(a, *x, *y) for k in range(3)
+                 for x, y in ((ea[i][k], eb[k][j]), (eb[i][k], ea[k][j]))]
+        p[i][j] = tuple(tuple(map(sum, zip(*part))) for part in zip(*terms))
+    if any(any(p[i][i][0][1:]) or any(p[i][i][1][1:]) for i in range(3)):
+        raise ValueError("diagonal entries must be scalar")
+    if any(p[i][j] != _conj(p[j][i]) for i in range(3) for j in range(i)):
+        raise ValueError("matrix is not Hermitian")
+    x = (p[1][2], p[2][0], p[0][1])
+    nr, ni = ([p[i][i][h][0] for i in range(3)] + [v for e in x for v in e[h]] for h in (0, 1))
+    return JordanMatrix._make(A.tag, nr, ni, 2 * A.d * B.d)
 
 
 def inner(A: JordanMatrix, B: JordanMatrix) -> GaussRational:
@@ -343,6 +343,19 @@ def rank_one_from_chart(tag: AlgebraTag, x: AlgElement, y: AlgElement) -> Jordan
     return JordanMatrix(tag, (1, qbilin(x, x), qbilin(y, y)), (x.conj() * y, y.conj(), x))
 
 
+def _transposition(X: JordanMatrix, order) -> JordanMatrix:
+    """The diagonal scalars and the conjugated slots of X, both read in `order`:
+    a signed permutation of the numerators, which keeps them normalised."""
+    a = X.tag.dim
+    lo = _slots(a)
+
+    def part(v):
+        return tuple(v[k] for k in order) + tuple(
+            -v[lo[k] + t] if t else v[lo[k]] for k in order for t in range(a))
+
+    return JordanMatrix._raw(X.tag, part(X.nr), part(X.ni), X.d)
+
+
 def sigma1(X: JordanMatrix) -> JordanMatrix:
     """The Jordan automorphism inducing the transposition (1 2) of diagonal units.
 
@@ -350,13 +363,9 @@ def sigma1(X: JordanMatrix) -> JordanMatrix:
     cyclic storage this swaps c_1/c_2 and sends (x_1,x_2,x_3) to the
     conjugates (conj x_2, conj x_1, conj x_3).
     """
-    c1, c2, c3 = X.c
-    x1, x2, x3 = X.x
-    return JordanMatrix(X.tag, (c2, c1, c3), (x2.conj(), x1.conj(), x3.conj()))
+    return _transposition(X, (1, 0, 2))
 
 
 def sigma2(X: JordanMatrix) -> JordanMatrix:
     """The Jordan automorphism inducing the transposition (2 3) of diagonal units."""
-    c1, c2, c3 = X.c
-    x1, x2, x3 = X.x
-    return JordanMatrix(X.tag, (c1, c3, c2), (x1.conj(), x3.conj(), x2.conj()))
+    return _transposition(X, (0, 2, 1))

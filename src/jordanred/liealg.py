@@ -228,10 +228,10 @@ class So3AOperator:
 
     `tmats` is a triality triple (v1, v2, v3) of skew integer matrices (or
     None), and each a_i is an algebra element with integer real coordinates
-    (anything else raises ArithmeticError).  The operator is one integer
-    matrix `full` on the 3a + 3 coordinates (c1, c2, c3, x1, x2, x3) of
-    J3(A).  With (j, k) = (i + 1, i + 2) cyclically, s = +1, +1, -1 for
-    i = 1, 2, 3 and a = a_i, the slot part acts by
+    (anything else raises ArithmeticError).  The operator is an integer matrix
+    on the 3a + 3 coordinates (c1, c2, c3, x1, x2, x3) of J3(A), kept as
+    `terms`: each row's nonzero (column, value) pairs.  With (j, k) = (i + 1,
+    i + 2) cyclically, s = +1, +1, -1 for i = 1, 2, 3 and a = a_i, slot i acts by
 
         c_j -= 2s q(a, x_i),  c_k += 2s q(a, x_i),
         x_i += s (c_j - c_k) a,
@@ -245,7 +245,7 @@ class So3AOperator:
     c1, -c3 and the slots, columns c1 - c2, c2 - c3 and the slots.
     """
 
-    __slots__ = ("tag", "kind", "full", "matrix")
+    __slots__ = ("tag", "kind", "terms", "matrix")
 
     def __init__(self, tag, tmats=None, a1=None, a2=None, a3=None):
         self.tag = tag
@@ -283,15 +283,21 @@ class So3AOperator:
             left, right = mult_matrices(elt)
             add_block(j, k, s, right, conj)
             add_block(k, j, -s, left, conj)
-        self.full = tuple(map(tuple, full))
+        self.terms = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in full)
         rows = [full[0], [-v for v in full[2]]] + full[3:]
         self.matrix = tuple((r[0] - r[1], r[1] - r[2]) + tuple(r[3:]) for r in rows)
 
     def apply(self, X: JordanMatrix) -> JordanMatrix:
-        """The derivation applied to X: `full` on its numerators."""
+        """The derivation applied to X: each row's terms on its numerators."""
         if X.tag != self.tag:
             raise ValueError("operator and matrix live over different algebras")
-        return JordanMatrix._raw(self.tag, *mat_vec(self.full, X.nr, X.ni, X.d))
+        nr, ni = X.nr, X.ni
+        outr, outi = [0] * len(nr), [0] * len(nr)
+        for i, row in enumerate(self.terms):
+            for j, v in row:
+                outr[i] += v * nr[j]
+                outi[i] += v * ni[j]
+        return JordanMatrix._raw(self.tag, *normalize(outr, outi, X.d))
 
     def __repr__(self):
         return "So3AOperator(%s, %s)" % (self.tag, self.kind)
@@ -301,11 +307,8 @@ class So3AOperator:
 def so3a_basis(tag: AlgebraTag):
     """Basis of so3(A): the triality part followed by the 3a slot generators."""
     ops = [So3AOperator(tag, tmats=t) for t in triality_basis(tag)]
-    for slot in range(3):
-        for k in range(tag.dim):
-            e = AlgElement.basis(tag, k)
-            kw = {"a%d" % (slot + 1): e}
-            ops.append(So3AOperator(tag, **kw))
+    ops += [So3AOperator(tag, **{"a%d" % (slot + 1): AlgElement.basis(tag, k)})
+            for slot in range(3) for k in range(tag.dim)]
     return tuple(ops)
 
 

@@ -24,7 +24,7 @@ from jordanred import reductions
 from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 to_numerators)
-from jordanred.jordan import JordanMatrix, det, inner, jordan_mul
+from jordanred.jordan import JordanMatrix, det, inner, jordan_mul, jordan_mul_full
 from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, bform_gram,
                               exp_nilpotent, is_nilpotent, j0_basis, j0_coords, j0_dim,
                               j0_numerators, mult_matrices, nilpotent_generators,
@@ -86,6 +86,23 @@ def ref_jordan_mul(tag, A, B):
         new_x.append([(sc * yt + sd * xt + pt) * HALF
                       for xt, yt, pt in zip(x[i], y[i], p)])
     return new_c, new_x
+
+
+def ref_jordan_mul_full(A, B):
+    """(AB + BA)/2 of the full 3x3 arrays, one AlgElement entry at a time."""
+    def full(X):
+        s = [AlgElement.scalar(X.tag, c) for c in X.c]
+        x1, x2, x3 = X.x
+        return [[s[0], x3, x2.conj()], [x3.conj(), s[1], x1], [x2, x1.conj(), s[2]]]
+
+    ea, eb = full(A), full(B)
+    out = [[sum((ea[i][k] * eb[k][j] + eb[i][k] * ea[k][j] for k in range(3)),
+                AlgElement.zero(A.tag)).scale(HALF) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        assert all(v.is_zero() for v in out[i][i].coords[1:])
+        assert all(out[i][j] == out[j][i].conj() for j in range(3))
+    return JordanMatrix(A.tag, [out[i][i].coords[0] for i in range(3)],
+                        (out[1][2], out[2][0], out[0][1]))
 
 
 def ref_det(tag, X):
@@ -468,6 +485,23 @@ def test_jordan_kernels_match_the_scalar_loops(tag, kind):
         assert det(A) == ref_det(tag, A)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_full_matrix_oracle_matches_the_entry_wise_product(tag, kind):
+    """jordan_mul_full against the AlgElement symmetrisation and jordan_mul,
+    also on complex scalings with a non-unit denominator."""
+    rng = make_rng(150 + 10 * ALL_TAGS.index(tag) + KINDS.index(kind))
+    n = 3 * tag.dim + 3
+    for _ in range(2):
+        sa, sb = _operands(tag, rng, kind, n)
+        A, B = _jordan(tag, sa), _jordan(tag, sb)
+        for X, Y in ((A, B), (A.scale(GaussRational(1, 2) / 5), B),
+                     (A, B.scale(GaussRational(-3, 1) / 7))):
+            out = jordan_mul_full(X, Y)
+            _assert_normalised(out)
+            assert out == ref_jordan_mul_full(X, Y) == jordan_mul(X, Y)
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_equal_values_by_different_routes_are_equal_and_hash_alike(tag):
     rng = make_rng(11)
@@ -482,7 +516,7 @@ def test_equal_values_by_different_routes_are_equal_and_hash_alike(tag):
         sa, sb = _operands(tag, rng, kind, n)
         A, B = _jordan(tag, sa), _jordan(tag, sb)
         for other in ((A + B) - B, A.scale(third) + A.scale(two_thirds),
-                      JordanMatrix(tag, A.c, A.x), JordanMatrix.from_entries(tag, A.entries()),
+                      JordanMatrix(tag, A.c, A.x), jordan_mul_full(JordanMatrix.identity(tag), A),
                       jordan_mul(JordanMatrix.identity(tag), A)):
             assert other == A and hash(other) == hash(A)
     assert AlgElement.zero(tag) == AlgElement(tag, [Fraction(0, 7)] * tag.dim)
@@ -655,17 +689,40 @@ def test_operator_apply_matches_the_slot_wise_action(tag):
             assert op.apply(x) == ref_apply(tag, x, **kw)
 
 
+def _multi_component(tag, rng):
+    """The last triality triple with random integer a1 and a3."""
+    triples = triality_basis(tag)
+    return {"tmats": triples[-1] if triples else None,
+            "a1": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)]),
+            "a3": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)])}
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_a_multi_component_operator_matches_the_slot_wise_action(tag):
     rng = make_rng(90 + ALL_TAGS.index(tag))
-    triples = triality_basis(tag)
-    kw = {"tmats": triples[-1] if triples else None,
-          "a1": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)]),
-          "a3": AlgElement(tag, [rng.randint(-3, 3) for _ in range(tag.dim)])}
+    kw = _multi_component(tag, rng)
     op = So3AOperator(tag, **kw)
     assert op.matrix == ref_operator_matrix(tag, kw)
     for x in _apply_inputs(tag, rng):
         assert op.apply(x) == ref_apply(tag, x, **kw)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_operator_terms_are_the_nonzero_entries_of_the_slot_wise_action(tag):
+    """Row r of `terms` lists (k, v) for each nonzero entry v in row r of the
+    matrix whose column k is ref_apply of the k-th J3(A) basis vector."""
+    n = 3 * tag.dim + 3
+    basis = [JordanMatrix._raw(tag, tuple(int(k == j) for j in range(n)), (0,) * n, 1)
+             for k in range(n)]
+    kw = _multi_component(tag, make_rng(90 + ALL_TAGS.index(tag)))
+    cases = list(zip(so3a_basis(tag), basis_components(tag))) + \
+        [(So3AOperator(tag, **kw), kw)]
+    for op, components in cases:
+        cols = [ref_apply(tag, e, **components) for e in basis]
+        assert all(col.d == 1 and not any(col.ni) for col in cols)
+        assert all(v for row in op.terms for _, v in row)
+        assert op.terms == tuple(tuple((k, col.nr[r]) for k, col in enumerate(cols)
+                                       if col.nr[r]) for r in range(n))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)

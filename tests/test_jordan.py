@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALL_TAGS, AlgElement
+from jordanred import jordan
+from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALL_TAGS, AlgElement, mul_numerators
 from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, gr, to_numerators
 from jordanred.jordan import (JordanMatrix, SeveriClass,
                               cayley_hamilton_residual, char_poly,
@@ -128,7 +129,7 @@ def test_rank_one_chart(tag):
     for _ in range(10):
         x, y = random_element(tag, rng), random_element(tag, rng)
         z = rank_one_from_chart(tag, x, y)
-        assert z.entries()[0] == [AlgElement.one(tag), x, y]
+        assert (z.c[0], z.x[2], z.x[1].conj()) == (GR_ONE, x, y)
         assert is_rank_one(z)
         assert det(z) == GR_ZERO
         _, _, qp = trace_forms(z)
@@ -209,17 +210,29 @@ def test_json_round_trip(tag):
     assert d["c"] == ["1", "-1", "0"]
 
 
-def test_from_entries_validates():
-    tag = ALG_H
-    e1 = AlgElement.basis(tag, 1)
-    one = AlgElement.one(tag)
-    zero = AlgElement.zero(tag)
-    good = [[one, e1, zero], [-e1, one, zero], [zero, zero, one]]
-    m = JordanMatrix.from_entries(tag, good)
-    assert m.entries() == good
-    bad = [[one, e1, zero], [e1, one, zero], [zero, zero, one]]
-    with pytest.raises(ValueError):
-        JordanMatrix.from_entries(tag, bad)
-    with pytest.raises(ValueError):
-        JordanMatrix.from_entries(tag, [[e1, zero, zero],
-                                        [zero, one, zero], [zero, zero, one]])
+def _corrupted_mul_numerators(dim, xr, xi, yr, yi):
+    """The product with x_0 y_0 added to coordinate 1: zero when a factor is."""
+    pr, pi = mul_numerators(dim, xr, xi, yr, yi)
+    pr[1] += xr[0] * yr[0]
+    return pr, pi
+
+
+def test_oracle_guards_raise_on_a_corrupted_kernel(monkeypatch):
+    """A kernel that breaks the product trips the scalar-diagonal guard on
+    random factors, and the Hermitian guard when every diagonal product has a
+    zero factor (a diagonal matrix against one with only x_3), for C, H, O."""
+    rng = make_rng(5)
+    cases = []
+    for tag in (ALG_C, ALG_H, ALG_O):
+        z = AlgElement.zero(tag)
+        pairs = ((random_jordan(tag, rng), random_jordan(tag, rng)),
+                 (JordanMatrix.diag(tag, 1, 2, 3),
+                  JordanMatrix(tag, (0, 0, 0), (z, z, AlgElement.one(tag)))))
+        assert all(jordan_mul_full(a, b) == jordan_mul(a, b) for a, b in pairs)
+        cases.append(pairs)
+    monkeypatch.setattr(jordan, "mul_numerators", _corrupted_mul_numerators)
+    for (a, b), (diag, slot3) in cases:
+        with pytest.raises(ValueError, match="diagonal entries must be scalar"):
+            jordan_mul_full(a, b)
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            jordan_mul_full(diag, slot3)

@@ -40,17 +40,23 @@ def test_imports_sit_at_module_level():
 
 
 def test_every_top_level_definition_is_used():
-    """Each top-level def or class of the package is named somewhere else."""
+    """Each top-level def or class of the package, and each non-dunder method
+    of a top-level class, is named somewhere else."""
     root = SRC.parents[1]
     words = Counter(word for top in (SRC, root / "tests", root / "perfbench")
                     for path in sorted(top.rglob("*.py"))
                     for word in re.findall(r"\w+", path.read_text()))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and words[node.name] < 2):
-                unused.append("%s:%s" % (path.name, node.name))
+            if not isinstance(node, defs):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [sub.name for sub in node.body if isinstance(sub, defs[:2])
+                          and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+            unused.extend("%s:%s" % (path.name, name) for name in names if words[name] < 2)
     assert (root / "perfbench").is_dir()
     assert not unused, unused
 
