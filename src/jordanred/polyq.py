@@ -6,16 +6,22 @@ over Q(i) are returned as such (their roots are counted, not constructed).
 
 A polynomial is one normalised numerator triple of `gaussrat`: the ascending
 coefficients are (nr[k] + ni[k] i)/d.  Arithmetic runs on the integer
-numerators and normalises once per result; the rational-root search reads
-the numerators directly.
+numerators and normalises once per result.
+
+Roots are found without factoring an integer.  The rational roots of an
+integer polynomial with leading coefficient a are s/a for the integer roots s
+of a monic integer polynomial, and those are bracketed by exact integer
+bisection on the runs where it is monotone, between the unit cells that hold
+the real roots of its derivatives.  A cubic root s + vi in Q(i) has v = 0, or
+v a rational root of a real degree-9 polynomial built from power sums; s is
+then a rational root of the gcd of the real and imaginary parts of f(s + vi).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import comb
 
 from .gaussrat import GR_ONE, GR_ZERO, GaussRational, from_numerators, normalize, to_numerators
 
@@ -152,9 +158,6 @@ class PolyQi:
         _, r = other.divmod(self)
         return r.is_zero()
 
-    def conj_coeffs(self) -> "PolyQi":
-        return PolyQi._make(self.nr, [-b for b in self.ni], self.d)
-
 
 def _strip(nr, ni, d: int):
     """The normalised triple of nr, ni over d without trailing zero coefficients."""
@@ -171,126 +174,66 @@ def poly_gcd(a: PolyQi, b: PolyQi) -> PolyQi:
     return a.monic()
 
 
-# -- integer helpers ---------------------------------------------------------
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xC0FFEE ^ n)
-    while True:
-        x = rng.randrange(2, n)
-        y, c, d = x, rng.randrange(1, n), 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def _factorize(n: int) -> dict:
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    n = abs(n)
-    out = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = None
-        f = 17
-        while f * f <= m and f < 100000:
-            if m % f == 0:
-                d = f
-                break
-            f += 2
-        if d is None:
-            d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def integer_divisors(n: int):
-    """All positive divisors of |n|; ValueError for n = 0."""
-    fac = _factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+# -- rational roots of integer polynomials ------------------------------------
 
 
 def rational_roots_of_int_poly(coeffs):
-    """The rational roots of an integer polynomial (ascending coefficients), lazily.
+    """The distinct rational roots of an integer polynomial (ascending coefficients), ascending.
 
-    Zero comes first when it is a root, then each p/q in lowest terms with
-    p | a0 and q | an (by p, then q, then p before -p) for which the integer
-    q^n f(p/q) vanishes.  Reducible p/q repeat a root with a smaller p.
+    With n the degree and a the leading coefficient, a r is an integer for a
+    root r = p/q in lowest terms (q divides a), and a root of the monic integer
+    polynomial g(s) = a^(n-1) f(s/a); the roots are the s/a for its integer
+    roots s.  By Cauchy every complex root of f has |r| < 2 + max|c_k| // |a|
+    over k < n, so every root of g, and by Gauss-Lucas every root of its
+    derivatives, lies inside |a| times that bound.
     """
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial")
-    if coeffs[0] == 0:
-        yield Fraction(0)
-        while coeffs[0] == 0:
-            del coeffs[0]
-    qs = integer_divisors(coeffs[-1])
-    for p in integer_divisors(coeffs[0]):
-        for q in qs:
-            if gcd(p, q) == 1:
-                for r in (p, -p):
-                    if _int_poly_value(coeffs, r, q) == 0:
-                        yield Fraction(r, q)
+    a, n = coeffs[-1], len(coeffs) - 1
+    g = [c * a ** (n - 1 - k) for k, c in enumerate(coeffs[:-1])] + [1]
+    bound = abs(a) * (2 + max(map(abs, coeffs[:-1]), default=0) // abs(a))
+    roots = {s for k in _root_cells(g, bound) for s in (k, k + 1) if _sign_at(g, s) == 0}
+    return sorted(Fraction(s, a) for s in roots)
 
 
-def _int_poly_value(coeffs, p: int, q: int = 1) -> int:
-    """q^n f(p/q) for the integer polynomial f of degree n (ascending coefficients)."""
-    acc, qk = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * p + c * qk
-        qk *= q
-    return acc
+def _root_cells(g, bound: int):
+    """Integers k, sorted, such that each real root of the integer polynomial g
+    (ascending coefficients) lies in some unit cell [k, k + 1].
+
+    Every real root of g and of its derivatives lies in (-bound, bound).  Off
+    the cells of g' the polynomial g is strictly monotone, so each run between
+    two cells, or between a cell and the bound, holds at most one root; a sign
+    change there is bisected down to its cell.  A run ends at -bound, at bound
+    (neither is a root) or at a cell of g', so a root at its end is already
+    the end of a cell.
+    """
+    if len(g) < 2:
+        return []
+    cells = _root_cells([k * c for k, c in enumerate(g)][1:], bound)
+    ends = [-bound] + [e for k in cells for e in (k, k + 1)] + [bound]
+    found = set(cells)
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        sign = _sign_at(g, lo)
+        if sign * _sign_at(g, hi) < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _sign_at(g, mid) == sign:
+                    lo = mid
+                else:
+                    hi = mid
+            found.add(lo)
+    return sorted(found)
 
 
-def _primitive(ints):
-    """The nonzero integer vector divided by the gcd of its entries."""
-    g = gcd(*ints)
-    return [v // g for v in ints]
+def _sign_at(g, x: int) -> int:
+    """The sign of the integer polynomial g (ascending coefficients) at the integer x."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
 
 
 # -- roots over Q(i) -----------------------------------------------------------
@@ -331,53 +274,53 @@ def _find_one_root(f: PolyQi):
         c, b, a = f.coeffs
         s = (b * b - 4 * a * c).sqrt()
         return None if s is None else (-b + s) / (2 * a)
-    # degree 3: a rational root is a root of gcd(Re f, Im f), which is f itself
-    # when f is real
-    re, im = PolyQi(f.nr), PolyQi(f.ni)
-    g = poly_gcd(re, im)
-    if g.degree >= 1:
-        r = next(rational_roots_of_int_poly(_primitive(g.nr)), None)
-        if r is not None:
-            return GaussRational(r)
-    if im.is_zero():
+    # degree 3: a root s + vi has s and v rational; v = 0 first
+    r = _root_with_imaginary_part(f, 0)
+    if r is not None or not any(f.ni):
         # real coefficients with no rational root: any Q(i) root r would force
         # conj(r) to be a root too, leaving a rational third root. None exists.
-        return None
-    # properly complex cubic: non-real roots have a rational quadratic minimal
-    # polynomial dividing f * conj(f); enumerate them Kronecker-style.
-    G = f * f.conj_coeffs()
-    gint = _primitive(G.nr)
-    for c0, c1, c2 in _quadratic_factors(gint):
-        s = GaussRational(c1 * c1 - 4 * c2 * c0).sqrt()
-        if s is None:
-            continue
-        for ss in (s, -s):
-            r = (ss - c1) / (2 * c2)
-            if f(r).is_zero():
-                return r
+        return r
+    for v in _imaginary_parts(f):
+        r = _root_with_imaginary_part(f, v) if v else None
+        if r is not None:
+            return r
     return None
 
 
-def _quadratic_factors(gint):
-    """Candidate integer quadratic factors (c0, c1, c2) of an integer poly."""
-    g0, g1, gm1 = (_int_poly_value(gint, x) for x in (0, 1, -1))
-    if g0 == 0 or g1 == 0 or gm1 == 0:
-        return []  # rational root present; handled elsewhere
-    lead, g = gint[-1], PolyQi(gint)
-    out = set()
-    for c2 in integer_divisors(lead):
-        for d0 in integer_divisors(g0):
-            for s0 in (1, -1):
-                c0 = s0 * d0
-                for d1 in integer_divisors(g1):
-                    for s1 in (1, -1):
-                        # m(1) = c2 + c1 + c0 = s1*d1
-                        c1 = s1 * d1 - c2 - c0
-                        # check m(-1) divides gm1
-                        mval = c2 - c1 + c0
-                        if mval == 0 or gm1 % mval != 0:
-                            continue
-                        key = (c0, c1, c2)
-                        if key not in out and PolyQi(key).divides(g):
-                            out.add(key)
-    return sorted(out)
+def _root_with_imaginary_part(f: PolyQi, v):
+    """A root s + vi of f with s rational, or None.
+
+    s is a rational root of f(s + vi), so of the gcd of its real and
+    imaginary parts; the smallest one is returned.
+    """
+    if v:
+        shift, g = PolyQi([GaussRational(0, v), GR_ONE]), PolyQi(())
+        for c in reversed(f.coeffs):
+            g = g * shift + PolyQi([c])
+        f = g
+    g = poly_gcd(PolyQi(f.nr), PolyQi(f.ni))
+    roots = rational_roots_of_int_poly(g.nr)
+    return GaussRational(roots[0], v) if roots else None
+
+
+def _imaginary_parts(f: PolyQi):
+    """The rational roots of the real degree-9 polynomial h whose roots are the
+    (r_j - conj r_k)/2i over the roots r_j, r_k of the monic cubic f.
+
+    Im r is among them for every root r.  With u = r/2i the roots of h are the
+    u_j + conj(u_k), so its power sums are sum_l C(m, l) p_l conj(p_(m-l)) for
+    the power sums p of the u_j.  Newton's identities
+    sum_(k<m) c_k p_(m-k) + m c_m = 0, for descending coefficients c with
+    c_0 = 1, go from f to p and from those sums back to h.
+    """
+    half_over_i = GaussRational(0, Fraction(-1, 2))
+    c = [x * half_over_i ** k for k, x in enumerate(reversed(f.coeffs))] + [GR_ZERO] * 6
+    p = [GaussRational(3)]
+    for m in range(1, 10):
+        p.append(-sum((c[k] * p[m - k] for k in range(1, m)), c[m] * m))
+    sums = [sum(comb(m, l) * p[l] * p[m - l].conj() for l in range(m + 1)) for m in range(10)]
+    h = [GR_ONE]
+    for m in range(1, 10):
+        h.append(-sum(h[k] * sums[m - k] for k in range(m)) / m)
+    return rational_roots_of_int_poly(to_numerators(h[::-1])[0])
+

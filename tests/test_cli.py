@@ -5,12 +5,13 @@ import sys
 
 import pytest
 
-from jordanred.algebra import ALG_C, ALG_O
+from jordanred.algebra import ALG_C, ALG_O, ALG_R
 from jordanred.cli import (build_betti, build_degree,
                            build_lie_dims, build_linear_spaces, build_orbits,
                            build_properties, build_verify_algebra,
                            build_verify_jordan, main)
 from jordanred.reductions import OrbitClass, representative
+from test_hardening import TALL, TALL_LINE_BUDGET_S, time_budget
 
 
 def run_cli(argv):
@@ -99,6 +100,19 @@ def test_orbits_line_file(tmp_path):
     assert by_name["line is a member"]["computed"] is True
     assert by_name["orbit"]["computed"] == "codim4"
     assert by_name["tangent dimension"]["computed"] == 24
+
+
+def test_orbits_line_file_with_tall_entries(tmp_path):
+    """A legal line of height 1e18 gets its full report within the budget."""
+    line = representative(ALG_R, OrbitClass.OPEN0).basis_change(TALL + 3, 1, 1, TALL + 9)
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(line.to_json()))
+    with time_budget(TALL_LINE_BUDGET_S):
+        code, out = run_cli(["orbits", "--line", str(path), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["orbit"] == "open"
+    assert payload["rank_one_points"] == {"general": 3, "special": 0, "whole_line": False}
 
 
 def test_orbits_line_file_non_member(tmp_path):

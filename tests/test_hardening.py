@@ -2,9 +2,12 @@
 pairs, transported lines, mixed-parameter configurations and the octonion
 equivariance sample."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
-from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement
+from jordanred.algebra import ALG_O, ALG_R, ALL_TAGS, AlgElement
 from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
 from jordanred.jordan import JordanMatrix, jordan_mul
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
@@ -158,3 +161,37 @@ def test_square_line_points_are_the_pierce_projections(tag):
         projected = e - ident.scale(GR_ONE / 3)
         assert any(p.matrix is not None and proportional(p.matrix, projected)
                    for p in pts.points), e
+
+
+# Open lines with tall entries: the plane of representative(tag, OPEN0) in the
+# basis (aX + bY, cX + dY).  Their three rank-one points are the rational
+# roots of a real cubic with tall coefficients.
+TALL = 10 ** 18
+TALL_LINES = [(ALG_R, (720720, 1, 1, 367567201)),
+              (ALG_R, (TALL + 3, 1, 1, TALL + 9)),
+              (ALG_O, (TALL + 3, 1, 1, TALL + 9))]
+TALL_LINE_BUDGET_S = 2
+
+
+@contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError("over the %s s budget" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tag, entries", TALL_LINES, ids=["R-720720", "R-1e18", "O-1e18"])
+def test_tall_open_lines_classify_within_the_budget(tag, entries):
+    line = representative(tag, OrbitClass.OPEN0).basis_change(*entries)
+    with time_budget(TALL_LINE_BUDGET_S):
+        assert classify_orbit(line) == OrbitClass.OPEN0
+        pts = severi_points_on_line(line)
+    assert (pts.count_general(), pts.count_special(), pts.whole_line) == (3, 0, False)

@@ -39,6 +39,23 @@ def test_imports_sit_at_module_level():
     assert not found, found
 
 
+def test_only_the_sampler_imports_random():
+    """Every report's randomness comes from the seeded draws of sampling.py."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "random" in modules:
+                found.append(path.name)
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert found == ["sampling.py"], found
+
+
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder method
     of a top-level class, is named somewhere else."""

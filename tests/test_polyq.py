@@ -5,8 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 from jordanred.gaussrat import GR_ONE, GR_ZERO, gr
-from jordanred.polyq import (PolyQi, integer_divisors, poly_gcd,
-                             rational_roots_of_int_poly, roots_qi)
+from jordanred.polyq import PolyQi, poly_gcd, rational_roots_of_int_poly, roots_qi
 
 
 def P(*cs):
@@ -78,10 +77,6 @@ def test_irreducible_over_qi(poly):
 
 
 def test_integer_helpers():
-    assert integer_divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert integer_divisors(-7) == [1, 7]
-    with pytest.raises(ValueError):
-        integer_divisors(0)
     assert set(rational_roots_of_int_poly([6, -5, 1])) == {Fraction(2), Fraction(3)}
     assert Fraction(1, 2) in rational_roots_of_int_poly([-1, 0, 4])
 
@@ -174,7 +169,6 @@ def test_triple_polynomials_match_the_schoolbook_loops(kind):
         _assert_normalised(a * b, ref_mul(ra, rb))
         _assert_normalised(a.monic(), ref_monic(ra))
         _assert_normalised(a.derivative(), ref_strip(c * k for k, c in enumerate(ra))[1:])
-        _assert_normalised(a.conj_coeffs(), [c.conj() for c in ra])
         t = _scalar(rng, kind)
         assert a(t) == ref_eval(ra, t)
         if rb:
@@ -187,7 +181,7 @@ def test_triple_polynomials_match_the_schoolbook_loops(kind):
         rc = list(c.coeffs)
         _assert_normalised(poly_gcd(a * c, b * c), ref_gcd(ref_mul(ra, rc), ref_mul(rb, rc)))
         # equal polynomials have equal fields and hashes
-        for same in ((a + b) - b, PolyQi(list(a.coeffs) + [GR_ZERO]), a.conj_coeffs().conj_coeffs()):
+        for same in ((a + b) - b, PolyQi(list(a.coeffs) + [GR_ZERO])):
             assert same == a and hash(same) == hash(a)
             assert (same.nr, same.ni, same.d) == (a.nr, a.ni, a.d)
 
@@ -254,7 +248,7 @@ def test_rational_roots_match_the_brute_force_reference(seed):
     for _ in range(40):
         coeffs = _random_int_poly(rng, rng.randint(1, 4))
         assert 1 <= len(coeffs) - 1 <= 4
-        expected = ref_rational_roots(coeffs)
+        expected = sorted(ref_rational_roots(coeffs))
         assert list(rational_roots_of_int_poly(coeffs)) == expected
         assert list(rational_roots_of_int_poly(coeffs + [0, 0])) == expected
         seen["zero constant"] += coeffs[0] == 0
@@ -263,9 +257,8 @@ def test_rational_roots_match_the_brute_force_reference(seed):
     assert min(seen.values()) > 5, seen
 
 
-def test_rational_roots_are_lazy_and_reject_the_zero_polynomial():
-    roots = rational_roots_of_int_poly([-6, 1, 1])  # (t - 2)(t + 3)
-    assert next(roots) == 2 and next(roots) == -3
+def test_rational_roots_are_ascending_and_reject_the_zero_polynomial():
+    assert rational_roots_of_int_poly([-6, 1, 1]) == [-3, 2]  # (t - 2)(t + 3)
     for zero in ([], [0], [0, 0, 0]):
         with pytest.raises(ValueError):
             list(rational_roots_of_int_poly(zero))
@@ -312,3 +305,117 @@ def test_real_cubic_with_one_rational_root(f, roots, leftovers):
 def test_complex_cubic_with_a_rational_root(f, roots, leftovers):
     assert not all(c.is_real() for c in f.coeffs)
     assert roots_qi(f) == (roots, leftovers)
+
+
+# -- the search at heights a divisor search cannot reach ------------------------
+
+
+def _value(coeffs, r):
+    """f(r) for ascending integer coefficients and a Fraction r."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r + c
+    return acc
+
+
+# integer factors without a rational root; (t^2 - 2)(t^2 - 3) has two roots
+# in the cell [1, 2], beside the planted roots 1 and 2 below
+IRRATIONAL_FACTORS = ([1], [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [-3, 0, 2],
+                      _times([-2, 0, 1], [-3, 0, 1]))
+
+
+def _planted(rng, degree):
+    """Ascending integer coefficients of degree `degree` with planted rational
+    roots (multiplicities up to 3) of height up to 10^(40 // number of roots),
+    and the set of those roots."""
+    cofactor = rng.choice([c for c in IRRATIONAL_FACTORS if len(c) <= degree])
+    count = degree - (len(cofactor) - 1)
+    height = 10 ** (40 // count) if count else 1
+    roots = []
+    while len(roots) < count:
+        r = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        if rng.random() < 0.3:  # a neighbour inside the same unit cell
+            r = rng.choice(roots) + Fraction(1, rng.randint(2, height + 2)) if roots else r
+        roots.extend([r] * min(rng.choice((1, 1, 2, 3)), count - len(roots)))
+    sign = rng.choice((1, -1))
+    poly = [c * sign for c in cofactor]
+    for r in roots:
+        poly = _times(poly, [-r.numerator, r.denominator])
+    return poly, set(roots)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planted_rational_roots_up_to_height_1e40(seed):
+    rng = random.Random("planted/%d" % seed)
+    for degree in range(1, 10):
+        for _ in range(4):
+            coeffs, planted = _planted(rng, degree)
+            assert len(coeffs) - 1 == degree
+            got = rational_roots_of_int_poly(coeffs)
+            assert got == sorted(planted)
+            assert all(_value(coeffs, r) == 0 for r in got)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    # 1, sqrt 2, sqrt 3 and 2 in one cell; 1 and 2 with multiplicity 3
+    (_times(_times([-2, 0, 1], [-3, 0, 1]), _times(_times([-1, 1], [-1, 1]), [-2, 1])),
+     [1, 2]),
+    (_times(_times([-1, 1], [-1, 1]), [-1, 1]) + [0] * 2, [1]),
+    # two roots 10^-40 apart
+    (_times([-10 ** 40, 10 ** 40 + 1], [-1, 1]), [Fraction(10 ** 40, 10 ** 40 + 1), 1]),
+    (_times([-(10 ** 40 + 3), 7], [10 ** 40 - 1, 10 ** 39]) + [0],
+     [Fraction(-(10 ** 40 - 1), 10 ** 39), Fraction(10 ** 40 + 3, 7)]),
+    ([-(10 ** 40 + 7), 0, 0, 0, 0, 0, 0, 0, 0, 1], []),
+], ids=["cell-1-2", "triple", "1e-40-apart", "1e40-ends", "ninth-root"])
+def test_rational_roots_in_tight_cases(coeffs, roots):
+    assert rational_roots_of_int_poly(coeffs) == roots
+    assert rational_roots_of_int_poly([-c for c in coeffs]) == roots
+
+
+def _assert_complete(f, roots, leftovers):
+    """The roots are roots, the leftovers have none in Q(i), and they make up f."""
+    assert all(f(r).is_zero() for r in roots)
+    product = PolyQi([GR_ONE])
+    for r in roots:
+        product = product * linear(r)
+    for g in leftovers:
+        assert g.degree == 2
+        c, b, a = g.coeffs
+        assert (b * b - 4 * a * c).sqrt() is None
+        product = product * g
+    assert product == f.monic()
+
+
+@pytest.mark.parametrize("f, planted", [
+    (linear(gr(10 ** 20 + 7, -(10 ** 19 + 1))) * P(gr(10 ** 30, 3), gr(2, 10 ** 25), 1),
+     [gr(10 ** 20 + 7, -(10 ** 19 + 1))]),
+    (linear(gr(Fraction(3, 7), Fraction(5, 11))) * linear(gr(Fraction(-2, 9), Fraction(1, 4)))
+     * linear(gr(Fraction(3, 7), Fraction(-5, 11))),
+     [gr(Fraction(3, 7), Fraction(5, 11)), gr(Fraction(-2, 9), Fraction(1, 4)),
+      gr(Fraction(3, 7), Fraction(-5, 11))]),
+    (linear(gr(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)))
+     * linear(gr(-(10 ** 15), 10 ** 21 + 9)) * P(gr(0, 10 ** 20), 1),
+     [gr(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)), gr(-(10 ** 15), 10 ** 21 + 9)]),
+    (linear(gr(5, 10 ** 30)) * linear(gr(5, 10 ** 30)) * linear(gr(-5, 10 ** 30)),
+     [gr(5, 10 ** 30), gr(-5, 10 ** 30)]),
+], ids=["issue-tall", "three-nonreal", "tall-denominators", "double-tall"])
+def test_complex_cubics_with_planted_gaussian_roots(f, planted):
+    assert not all(c.is_real() for c in f.coeffs)
+    roots, leftovers = roots_qi(f)
+    assert set(planted) <= set(roots)
+    _assert_complete(f, roots, leftovers)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_complex_cubics_are_split_completely(seed):
+    rng = random.Random("complex/%d" % seed)
+    for _ in range(30):
+        h = rng.choice((3, 10 ** 6, 10 ** 20))
+        r = gr(Fraction(rng.randint(-h, h), rng.randint(1, 9)),
+               Fraction(rng.randint(-h, h), rng.randint(1, 9)))
+        cofactor = P(gr(rng.randint(-h, h), rng.randint(-h, h)),
+                     gr(rng.randint(-h, h), rng.randint(-h, h)), 1)
+        f = linear(r) * cofactor
+        roots, leftovers = roots_qi(f)
+        assert r in roots
+        _assert_complete(f, roots, leftovers)
