@@ -1,10 +1,10 @@
 """The derivation Lie algebras so3(A) = t(A) + A_1 + A_2 + A_3.
 
 The triality algebra t(A) -- triples (u1, u2, u3) of skew endomorphisms of A
-with u1(xy) = u2(x)y + x u3(y) -- is computed as the exact nullspace of the
-defining linear system over the basis of A.  An operator of so3(A) is one
-integer matrix on the 3a + 3 coordinates of J3(A), built once from its
-components by one cyclic rule: with (j, k) = (i + 1, i + 2) and s = +1, +1,
+with u1(xy) = u2(x)y + x u3(y) -- is the exact nullspace of one system read
+straight off the multiplication table.  An operator of so3(A) is one integer
+matrix on the 3a + 3 coordinates of J3(A), built once from its components by
+one cyclic rule: with (j, k) = (i + 1, i + 2) and s = +1, +1,
 -1 for slot i = 1, 2, 3, the generator a in slot i sends c_j by -2s q(a, x_i),
 c_k by +2s q(a, x_i), x_i by s (c_j - c_k) a, x_j by s conj(x_k a) and x_k by
 -s conj(a x_j); a triality triple (v1, v2, v3) sends x1 to v3 x1, x2 to
@@ -118,80 +118,55 @@ def wedge_pairs(tag: AlgebraTag):
 # -- skew endomorphisms and the triality algebra -------------------------------
 
 
-def skew_basis_indices(a: int):
-    return [(p, q) for p in range(a) for q in range(p + 1, a)]
-
-
-def _skew_matrix(a: int, p: int, q: int):
-    m = [[0] * a for _ in range(a)]
-    m[p][q] = 1
-    m[q][p] = -1
-    return m
-
-
 @lru_cache(maxsize=None)
 def triality_basis(tag: AlgebraTag):
     """Integer basis of t(A) as triples (u1, u2, u3) of skew matrices.
 
-    Solves u1(e_i e_j) = u2(e_i) e_j + e_i u3(e_j) over all basis pairs by
-    exact nullspace computation; sizes come out 0, 2, 9, 28.
+    The unknowns are the coefficients of u1, u2 and u3 over the skew
+    generators of the pairs p < q in lexicographic order; generator t sends
+    e_q to e_p and e_p to -e_q.  For each basis pair with e_i e_j = sg e_k,
+    the a rows of u1(e_i e_j) - u2(e_i) e_j - e_i u3(e_j) are read off the
+    multiplication table: a generator moving e_k to sign e_out puts sg sign
+    in row out, one moving e_i puts -sign g in the row r of e_out e_j =
+    g e_r, and one moving e_j puts -sign g in the row r of e_i e_out = g e_r.
+    The basis is the nullspace of these rows; sizes come out 0, 2, 9, 28.
     """
     a = tag.dim
-    idx = skew_basis_indices(a)
-    s = len(idx)
+    pairs = [(p, q) for p in range(a) for q in range(p + 1, a)]
+    s = len(pairs)
     if s == 0:
         return ()
     table = mult_table(a)
-    smats = [_skew_matrix(a, p, q) for p, q in idx]
-
-    def mul_basis(vec, j):  # (vector) * e_j, integer coords
-        out = [0] * a
-        for i, c in enumerate(vec):
-            if c:
-                k, sg = table[i][j]
-                out[k] += sg * c
-        return out
-
-    def basis_mul(i, vec):  # e_i * (vector)
-        out = [0] * a
-        for j, c in enumerate(vec):
-            if c:
-                k, sg = table[i][j]
-                out[k] += sg * c
-        return out
-
+    # moves[x] lists (t, out, sign): generator t sends e_x to sign e_out
+    moves = [[] for _ in range(a)]
+    for t, (p, q) in enumerate(pairs):
+        moves[q].append((t, p, 1))
+        moves[p].append((t, q, -1))
     rows = []
     zero = (0,) * (3 * s)
     for i in range(a):
         for j in range(a):
             k, sg = table[i][j]
-            blocks = [[0] * (3 * s) for _ in range(a)]
-            for m, sm in enumerate(smats):
-                col1 = [sm[r][k] * sg for r in range(a)]
-                u2col = [sm[r][i] for r in range(a)]
-                col2 = mul_basis(u2col, j)
-                u3col = [sm[r][j] for r in range(a)]
-                col3 = basis_mul(i, u3col)
-                for r in range(a):
-                    if col1[r]:
-                        blocks[r][m] += col1[r]
-                    if col2[r]:
-                        blocks[r][s + m] -= col2[r]
-                    if col3[r]:
-                        blocks[r][2 * s + m] -= col3[r]
-            rows.extend((block, zero) for block in blocks)
+            block = [[0] * (3 * s) for _ in range(a)]
+            for t, out, sign in moves[k]:
+                block[out][t] = sg * sign
+            for t, out, sign in moves[i]:
+                r, g = table[out][j]
+                block[r][s + t] = -sign * g
+            for t, out, sign in moves[j]:
+                r, g = table[i][out]
+                block[r][2 * s + t] = -sign * g
+            rows.extend((row, zero) for row in block)
     triples = []
     # each kernel vector is real, and its numerators are an integer multiple of it
     for ints, _, _ in nullspace(rows, 3 * s):
         mats = []
         for block in range(3):
             m = [[0] * a for _ in range(a)]
-            for t, (p, q) in enumerate(idx):
-                c = ints[block * s + t]
-                if c:
-                    m[p][q] += c
-                    m[q][p] -= c
-            mats.append(tuple(tuple(r) for r in m))
+            for t, (p, q) in enumerate(pairs):
+                m[p][q] = ints[block * s + t]
+                m[q][p] = -ints[block * s + t]
+            mats.append(tuple(map(tuple, m)))
         triples.append(tuple(mats))
     return tuple(triples)
 

@@ -74,11 +74,6 @@ def random_projected_rank_one(tag: AlgebraTag, rng: random.Random) -> JordanMatr
 
 def element_of_norm(tag: AlgebraTag, target: GaussRational) -> AlgElement:
     """An element with q(y) equal to a prescribed scalar (needs dim >= 2)."""
-    if tag.dim < 2:
-        s = target.sqrt()
-        if s is None:
-            raise ValueError("norm not a square in the one-dimensional algebra")
-        return AlgElement(tag, [s])
     beta = (target + GR_ONE) / 2
     gamma = (target - GR_ONE) / 2 * GR_I
     coords = [GaussRational(0)] * tag.dim

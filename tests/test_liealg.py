@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,48 @@ def test_triality_identity_exhaustive(tag):
             for i in range(tag.dim):
                 for j in range(tag.dim):
                     assert m[i][j] == -m[j][i]
+
+
+# sha256(repr(x))[:16] of triality_basis(tag) and of the terms of so3a_basis(tag):
+# LieCombo coordinates, bform_gram and the order of pi_table all depend on them.
+BASIS_DIGESTS = {1: ("2e38e77b22c314a4", "3a45135300b20564"),
+                 2: ("5c9b59504b236438", "cef6666bb8b9f239"),
+                 4: ("0be8291e23281571", "66d5528e1e523c82"),
+                 8: ("c8d10cd87176afcc", "10f19251a23d226a")}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_so3a_basis_is_pinned(tag):
+    """A rescaled or reordered basis changes no dimension, so pin the basis itself."""
+    def digest(x):
+        return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+    got = (digest(triality_basis(tag)), digest([op.terms for op in so3a_basis(tag)]))
+    assert got == BASIS_DIGESTS[tag.dim]
+
+
+def skew_generator(a, p, q):
+    """The skew matrix sending e_q to e_p and e_p to -e_q."""
+    m = [[0] * a for _ in range(a)]
+    m[p][q], m[q][p] = 1, -1
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("tag", (ALG_C, ALG_H, ALG_O), ids=str)
+def test_triality_identity_rejects_non_triples(tag):
+    a = tag.dim
+    zero = tuple((0,) * a for _ in range(a))
+    gens = [skew_generator(a, p, q) for p in range(a) for q in range(p + 1, a)]
+    # u1 must vanish when u2 = u3 = 0
+    for u in gens:
+        assert not triality_identity_holds(tag, (u, zero, zero))
+    # the generator of (0, 1) moves e_0 = 1, so it is no derivation
+    d = skew_generator(a, 0, 1)
+    assert not triality_identity_holds(tag, (d, d, d))
+    # a triple of t(A) plus a nonzero (u, 0, 0) is not in t(A)
+    for n, (u1, u2, u3) in enumerate(triality_basis(tag)):
+        u = gens[n % len(gens)]
+        bent = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(u1, u))
+        assert not triality_identity_holds(tag, (bent, u2, u3))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
