@@ -183,12 +183,6 @@ def schubert_coefficients() -> Tuple[int, int, int]:
     return (x, y, z)
 
 
-# Degrees of the larger varieties of reductions; quoted constants with no
-# computation path here (their Chow rings live outside this package).
-DEG_Y4 = 12273
-DEG_Y8 = 1047361761
-
-
 # -- topology ------------------------------------------------------------------------
 
 

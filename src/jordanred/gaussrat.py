@@ -77,6 +77,8 @@ class GaussRational:
             # already normalised over d = 1; bools take the Fraction path
             self.nr, self.ni, self.d = re, im, 1
             return
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("Q(i) parts must be int or Fraction, got %r and %r" % (re, im))
         re = Fraction(re)
         im = Fraction(im)
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)

@@ -115,9 +115,6 @@ class JordanMatrix(FlatVector):
             raise ValueError("c must be a JSON array")
         c = [GaussRational.from_json(v) for v in obj["c"]]
         x = [AlgElement.from_json(obj[k]) for k in ("x1", "x2", "x3")]
-        for e in x:
-            if e.tag != tag:
-                raise ValueError("off-diagonal entry algebra differs from header")
         return cls(tag, c, x)
 
 

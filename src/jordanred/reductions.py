@@ -2,13 +2,13 @@
 
 A candidate point is a 2-plane span{X, Y} of traceless Jordan matrices; it
 lies on the variety of reductions exactly when trace(X o (u Y)) = 0 for every
-derivation u.  Orbit classification, the count of rank-one points on a member
-line, and tangent-space dimensions all reduce to exact linear algebra and to
-root extraction for binary forms of degree at most 3.  The pairings are read
-off `liealg.pi_table`, and the tangent dimension off `liealg.orbit_rank`.
-The rank-one points are the common roots of the 2x2 minors of the pencil
-(M(t), N(t)); only the 2n - 3 minors against two pivot coordinates are
-formed (see `_rank_one_gcd`).
+derivation u.  The rank-one points on a member line and tangent-space
+dimensions reduce to exact linear algebra and to root extraction for binary
+forms of degree at most 3, and a line's orbit is read off its rank-one
+points alone.  The pairings are read off `liealg.pi_table`, and the tangent
+dimension off `liealg.orbit_rank`.  The rank-one points are the common roots
+of the 2x2 minors of the pencil (M(t), N(t)); only the 2n - 3 minors against
+two pivot coordinates are formed (see `_rank_one_gcd`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import List, Optional, Tuple
 from .algebra import AlgebraTag, AlgElement
 from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, mat_vec, normalize,
                        to_numerators)
-from .jordan import (JordanMatrix, SeveriClass, char_poly, classify_severi, discriminant,
-                     inner, jordan_mul)
+from .jordan import JordanMatrix, SeveriClass, char_poly, classify_severi, inner, jordan_mul
 from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators, orbit_rank,
                      pi_table, traceless_numerators, wedge_pairs)
 from .linalg import RowSpan, nullspace
@@ -424,17 +423,10 @@ def severi_points_on_line(line: ReductionLine) -> SeveriPointReport:
     A traceless nonzero M lies there exactly when M o M - (Q(M)/3) I is
     proportional to M, so the 2x2 minors of the coefficient pair give binary
     cubics whose common zeros are the points sought.  Points at parameter
-    infinity (mu = 0) are handled by classifying Y directly.
+    infinity (mu = 0) are handled by classifying Y directly.  The report is
+    memoized on the line.
     """
     _require_member(line)
-    return _severi_points(line)
-
-
-def _severi_points(line: ReductionLine) -> SeveriPointReport:
-    """severi_points_on_line for a line already known to be a member.
-
-    The report is memoized on the line.
-    """
     if line._severi is None:
         line._severi = _find_severi_points(line.X, line.Y)
     return line._severi
@@ -480,32 +472,20 @@ class OrbitClass(Enum):
     CODIM4 = "codim4"
 
 
-_SAMPLE_PARAMS = (0, 1, -1, 2, -2, 3)
-
-
 def classify_orbit(line: ReductionLine) -> OrbitClass:
     """The orbit of a member line under the automorphism group.
 
-    The restriction of the degree-6 discriminant to the line either vanishes
-    identically (checked on 7 parameters, more than the degree) or the line is
-    in the open orbit.  Lines inside the discriminant are separated by their
-    rank-one points: a whole line of them is the closed orbit; otherwise the
-    presence of a non-special point distinguishes codimension one from two.
+    Read off the line's rank-one points, counted as (general, special):
+    open (3, 0), codim1 (1, 1), codim2 (0, 1), or codim4 when the whole line
+    is rank one.  So no special (square-zero) point means open, and a general
+    point beside a special one means codimension one.
     """
-    _require_member(line)
-    X, Y = line.X, line.Y
-    disc_vanishes = discriminant(Y).is_zero()
-    if disc_vanishes:
-        for t in _SAMPLE_PARAMS:
-            if not discriminant(X + Y.scale(t)).is_zero():
-                disc_vanishes = False
-                break
-    if not disc_vanishes:
-        return OrbitClass.OPEN0
-    report = _severi_points(line)
+    report = severi_points_on_line(line)
     if report.whole_line:
         return OrbitClass.CODIM4
-    if report.count_general() > 0:
+    if not report.count_special():
+        return OrbitClass.OPEN0
+    if report.count_general():
         return OrbitClass.CODIM1
     return OrbitClass.CODIM2
 

@@ -1,10 +1,9 @@
 import pytest
 
 from jordanred import chow
-from jordanred.chow import (DEG_Y4, DEG_Y8, BidegreePoly, H1, H2, HYP,
-                            betti_table, blowup_intersection, degree_y2_blowup,
-                            degree_y2_hilb, fixed_point_count, hilb_term_table,
-                            normal_bundle_chern, schubert_coefficients,
+from jordanred.chow import (BidegreePoly, H1, H2, HYP, betti_table, blowup_intersection,
+                            degree_y2_blowup, degree_y2_hilb, fixed_point_count,
+                            hilb_term_table, normal_bundle_chern, schubert_coefficients,
                             segre_classes, severi_betti, topology)
 
 
@@ -59,11 +58,6 @@ def test_schubert_coefficients():
     assert 5 * x + 16 * y + 5 * z == 57
     # with x and z fixed geometrically, the degree relation forces y
     assert (57 - 5 - 20) // 16 == 2
-
-
-def test_quoted_large_degrees():
-    assert DEG_Y4 == 12273
-    assert DEG_Y8 == 1047361761
 
 
 BETTI = {

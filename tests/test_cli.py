@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
-from jordanred.algebra import ALG_C, ALG_O, ALG_R
+from jordanred import cli
+from jordanred.algebra import ALG_C, ALG_O, ALG_R, AlgElement
 from jordanred.cli import (build_betti, build_degree,
                            build_lie_dims, build_linear_spaces, build_orbits,
                            build_properties, build_verify_algebra,
                            build_verify_jordan, main)
+from jordanred.jordan import JordanMatrix
 from jordanred.reductions import OrbitClass, representative
 from test_hardening import TALL, TALL_LINE_BUDGET_S, time_budget
 
@@ -174,6 +176,20 @@ def _with_coords(coords):
     return line
 
 
+def _with_x(key, value):
+    """The open O line with the field `key` of X replaced."""
+    line = _algebra_o_line()
+    line["X"][key] = value
+    return line
+
+
+def _with_y(matrix):
+    """The open O line with Y replaced."""
+    line = _algebra_o_line()
+    line["Y"] = matrix
+    return line
+
+
 @pytest.mark.parametrize("text", [json.dumps(payload) for payload in [
     {"X": {"algebra": "O"}},
     [1, 2],
@@ -188,13 +204,22 @@ def _with_coords(coords):
     _with_diagonal({"1": 0, "-1": 0, "0": 0}),
     _with_coords({"1": "7", "0": "9"}),
     _with_coords("00"),
+    _with_x("x1", AlgElement.one(ALG_C).to_json()),
+    _with_y(representative(ALG_C, OrbitClass.OPEN0).to_json()["Y"]),
+    _with_diagonal(["1", "-1"]),
+    _with_x("x1", {"algebra": "O", "coords": ["1", "0", "0"]}),
+    _with_x("algebra", "Q"),
+    _with_diagonal(["1", "1", "1"]),
+    _with_y(_algebra_o_line()["X"]),
 ]] + [
     # beyond the recursion limit of the JSON decoder, which json.dumps cannot write
     "[" * 100000 + "]" * 100000,
 ], ids=["missing-key", "list", "zero-denominator", "missing-Y", "string-matrix",
         "null", "three-part-scalar", "float-scalar", "exponent-scalar",
         "underscore-scalar", "object-diagonal", "object-coords", "string-coords",
-        "deeply-nested"])
+        "entry-from-another-algebra", "X-and-Y-over-different-algebras",
+        "two-diagonal-scalars", "3-of-8-coords", "unknown-algebra", "non-traceless-X",
+        "Y-equal-to-X", "deeply-nested"])
 def test_malformed_line_exit_code(tmp_path, capsys, text):
     path = tmp_path / "line.json"
     path.write_text(text)
@@ -238,6 +263,73 @@ def test_verify_suites_pass():
     assert build_degree().ok
     assert build_betti(8).ok
     assert build_properties(20570).ok
+
+
+class _UnequalElement(AlgElement):
+    """An algebra element that equals nothing, so a unit-law sample of it fails."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+
+def _counted(monkeypatch, name):
+    """Wrap the report sampler `name` of the cli; return the list it appends to."""
+    draws = []
+    real = getattr(cli, name)
+
+    def draw(tag, rng):
+        draws.append(tag)
+        return real(tag, rng)
+    monkeypatch.setattr(cli, name, draw)
+    return draws
+
+
+def _assert_only_failure(clean, failed, name):
+    """`failed` differs from `clean` in the check `name` alone, which fails."""
+    assert clean.ok
+    assert len(failed.checks) == len(clean.checks)
+    assert [b.name for a, b in zip(clean.checks, failed.checks) if a != b] == [name]
+    assert [c.name for c in failed.checks if not c.ok] == [name]
+
+
+def test_a_failing_unit_law_sample_shifts_no_later_draw(monkeypatch):
+    """Every unit-law sample is drawn, so the later samples stay in place."""
+    draws = _counted(monkeypatch, "random_element")
+    clean = build_verify_algebra("H", 7)
+    expected = len(draws)
+    counted = cli.random_element
+
+    def first_fails(tag, rng):
+        x = counted(tag, rng)
+        return _UnequalElement._raw(tag, x.nr, x.ni, x.d) if len(draws) == 1 else x
+    draws.clear()
+    monkeypatch.setattr(cli, "random_element", first_fails)
+    failed = build_verify_algebra("H", 7)
+    assert len(draws) == expected
+    _assert_only_failure(clean, failed, "H: 1 is a two-sided unit (random)")
+
+
+def test_a_failing_cayley_hamilton_sample_shifts_no_later_draw(monkeypatch):
+    """Every Cayley-Hamilton sample is drawn, so the later samples stay in place."""
+    draws = _counted(monkeypatch, "random_jordan")
+    clean = build_verify_jordan("C", 7)
+    expected = len(draws)
+    real = cli.cayley_hamilton_residual
+    calls = []
+
+    def first_fails(A):
+        calls.append(A)
+        return JordanMatrix.identity(A.tag) if len(calls) == 1 else real(A)
+    draws.clear()
+    monkeypatch.setattr(cli, "cayley_hamilton_residual", first_fails)
+    failed = build_verify_jordan("C", 7)
+    assert len(draws) == expected
+    _assert_only_failure(clean, failed, "C: Cayley-Hamilton residual vanishes")
 
 
 def test_text_rendering():

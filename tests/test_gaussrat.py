@@ -5,8 +5,10 @@ from math import gcd
 import pytest
 
 from jordanred import gaussrat
+from jordanred.algebra import ALG_C, AlgElement
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
                                 mat_vec, to_numerators)
+from jordanred.reductions import OrbitClass, representative
 
 
 def test_construction_and_normalization():
@@ -27,6 +29,20 @@ def test_integer_pairs_match_the_fraction_path():
         assert (fast.nr, fast.ni, fast.d) == (slow.nr, slow.ni, slow.d)
         assert all(type(v) is int for v in (fast.nr, fast.ni, fast.d))
     assert GaussRational(-4) == GaussRational(Fraction(-4), Fraction(0))
+
+
+@pytest.mark.parametrize("value", [0.1, "1e3", 1j], ids=["float", "string", "complex"])
+def test_inexact_parts_are_refused(value):
+    """Only int, Fraction and GaussRational build a scalar, as in every operator."""
+    with pytest.raises(TypeError):
+        GaussRational(value)
+    with pytest.raises(TypeError):
+        GaussRational(1, value)
+    with pytest.raises(TypeError):
+        AlgElement(ALG_C, [value, 1])
+    with pytest.raises(TypeError):
+        representative(ALG_C, OrbitClass.OPEN0).basis_change(value, 0, 0, 1)
+
 
 def test_field_axioms_random():
     rng = random.Random(0)

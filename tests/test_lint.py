@@ -56,6 +56,19 @@ def test_only_the_sampler_imports_random():
     assert found == ["sampling.py"], found
 
 
+def test_no_floating_point_in_the_package():
+    """No float or complex literal and no float() or complex() call: every value is exact."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "complex")):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert not found, found
+
+
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder method
     of a top-level class, is named somewhere else."""

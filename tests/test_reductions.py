@@ -6,7 +6,7 @@ import pytest
 from jordanred import liealg, reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
 from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
-from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi,
+from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi, discriminant,
                               inner, jordan_mul, sigma1, sigma2)
 from jordanred.liealg import (apply_j0_linear, bform_gram, random_unipotent, so3a_basis,
                               wedge_pairs)
@@ -24,6 +24,7 @@ from jordanred.sampling import (make_rng, random_member_line,
                                 random_projected_rank_one, random_square_zero,
                                 random_traceless)
 from test_flat_kernels import mat_mul, ref_omega, vector_view, view
+from test_hardening import TALL_LINES
 from test_linalg import ref_nullspace
 
 KER_PI_DIMS = {1: 7, 2: 20, 4: 70, 8: 273}
@@ -525,6 +526,24 @@ def test_classification_invariant_under_unipotents(tag):
                               apply_j0_linear(tag, g, line.Y))
         assert membership(moved)
         assert classify_orbit(moved) == orbit
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_the_discriminant_vanishes_on_exactly_the_non_open_lines(tag):
+    """The degree-6 discriminant restricted to a member line vanishes
+    identically, checked at Y and at 6 parameters of X + tY, exactly when
+    the line is not in the open orbit: an oracle for `classify_orbit`, which
+    reads the rank-one points only.  Every orbit's representative, moved and
+    unmoved, and the tall open lines."""
+    lines = [make(tag, orbit) for orbit in available_orbits(tag)
+             for make in (representative, moved_representative)]
+    lines += [representative(tag, OrbitClass.OPEN0).basis_change(*entries)
+              for t, entries in TALL_LINES if t == tag]
+    for line in lines:
+        X, Y = line.X, line.Y
+        vanishes = all(discriminant(M).is_zero()
+                       for M in [Y] + [X + Y.scale(t) for t in (0, 1, -1, 2, -2, 3)])
+        assert vanishes == (classify_orbit(line) != OrbitClass.OPEN0)
 
 
 # -- tangent spaces ----------------------------------------------------------------------
