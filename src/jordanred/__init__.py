@@ -14,7 +14,6 @@ from .jordan import (JordanMatrix, SeveriClass, cayley_hamilton_residual,
 from .liealg import So3AOperator, so3a_basis, stabilizer_dims, triality_basis
 from .reductions import (OrbitClass, PierceTriple, ReductionLine,
                          classify_orbit, membership, pierce_from_roots,
-                         project_so3a, representative, severi_points_on_line,
-                         tangent_dim)
+                         representative, severi_points_on_line, tangent_dim)
 
 __version__ = "1.0.0"

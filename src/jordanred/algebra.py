@@ -3,10 +3,10 @@
 Elements carry exact Q(i) coordinates over an orthonormal basis
 e_0 = 1, e_1, ..., e_{a-1}.  The multiplication table is generated by the
 Cayley-Dickson doubling  (a, b)(c, d) = (ac - d*b, da + bc*)  starting from
-the reals; for a = 8 this fixes one Fano-plane convention, whose index
-triples are listed by `fano_triples`.  The table is not trusted on faith:
-the test suite checks the composition law q(xy) = q(x)q(y) and
-alternativity exhaustively over basis pairs and triples.
+the reals; for a = 8 this fixes one Fano-plane convention.  The table is
+not trusted on faith: the test suite checks the composition law
+q(xy) = q(x)q(y) and alternativity exhaustively over basis pairs and
+triples.
 
 The quadratic form q is complex-bilinear (a plain sum of coordinate
 products, no conjugation), matching the complexified norm.
@@ -92,29 +92,6 @@ def mult_table(dim: int):
     )
 
 
-def fano_triples():
-    """The 7 cyclically-oriented index triples (i, j, k) with e_i e_j = e_k."""
-    table = mult_table(8)
-    triples = []
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            k, s = table[i][j]
-            if s == 1:
-                triples.append((i, j, k))
-            else:
-                triples.append((j, i, k))
-    seen = set()
-    out = []
-    for t in triples:
-        key = frozenset(t)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
-
-
-
-
 @lru_cache(maxsize=None)
 def structure_constants(dim: int):
     """The terms (i, j, k, sign) of e_i e_j = sign e_k, grouped by k and sign.
@@ -160,9 +137,8 @@ def mul_numerators(dim: int, xr, xi, yr, yi):
 class FlatVector:
     """A flat Q(i) vector over an algebra: numerators nr, ni over d, normalised.
 
-    The linear structure, equality and hashing shared by `AlgElement`,
-    `JordanMatrix` and `liealg.LieCombo`; subclasses give the coordinates
-    their meaning.
+    The linear structure, equality and hashing shared by `AlgElement` and
+    `JordanMatrix`; subclasses give the coordinates their meaning.
     """
 
     __slots__ = ("tag", "nr", "ni", "d")
@@ -286,9 +262,6 @@ class AlgElement(FlatVector):
 
     def re(self) -> GaussRational:
         return GaussRational._make(self.nr[0], self.ni[0], self.d)
-
-    def im_part(self) -> "AlgElement":
-        return AlgElement._make(self.tag, (0,) + self.nr[1:], (0,) + self.ni[1:], self.d)
 
     def __repr__(self):
         terms = []

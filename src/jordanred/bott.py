@@ -293,23 +293,6 @@ def _scale_add(m1: Monomial, k1: int, m2: Monomial, k2: int) -> Monomial:
     return tuple(k1 * a + k2 * b for a, b in zip(m1, m2))
 
 
-def detE_from_supports(supports) -> Tuple[Monomial, Monomial]:
-    """(det E_0, det E_1) derived from the monomial ideals themselves."""
-    e0 = [0, 0, 0]
-    n_by_point = {}
-    for k, cells in supports:
-        a, b = sorted(set(range(3)) - {k})
-        for (c, r) in cells:
-            e0[a] += c
-            e0[b] += r
-            e0[k] -= c + r
-        n_by_point[k] = len(cells)
-    e1 = list(e0)
-    for k, n in n_by_point.items():
-        e1[k] += n
-    return tuple(e0), tuple(e1)
-
-
 # -- localization ---------------------------------------------------------------------
 
 

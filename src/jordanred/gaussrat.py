@@ -17,10 +17,9 @@ of coordinates, both on the numerators.  `normalize_matrix` and `mat_mat`
 normalise and multiply matrix triples.  Scalars enter the layout through
 `to_numerators` and views leave it through `from_numerators`.  Between
 modules every vector is a triple (re, im, d): algebra elements, Jordan
-matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg`, the
-coefficients of a `LieCombo` and the ascending coefficients of a `PolyQi`
-polynomial; the inverse from `linalg`, the unipotent automorphisms and
-realized Lie combinations are matrix triples.
+matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg` and
+the ascending coefficients of a `PolyQi` polynomial; the inverse from
+`linalg` and the unipotent automorphisms are matrix triples.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.
@@ -111,9 +110,6 @@ class GaussRational:
 
     def is_zero(self) -> bool:
         return self.nr == 0 and self.ni == 0
-
-    def is_real(self) -> bool:
-        return self.ni == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -207,10 +203,6 @@ class GaussRational:
 
     def conj(self) -> "GaussRational":
         return GaussRational._make(self.nr, -self.ni, self.d)
-
-    def norm(self) -> Fraction:
-        """The rational number re^2 + im^2."""
-        return Fraction(self.nr * self.nr + self.ni * self.ni, self.d * self.d)
 
     # -- comparison / hashing -------------------------------------------
 

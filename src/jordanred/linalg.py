@@ -7,8 +7,9 @@ row with im all zero.  `RowSpan` holds the reduced row echelon form of the
 rows added so far, and `rank` is its dimension; neither depends on a
 nonzero factor of a row.  `nullspace` returns one normalised triple
 (re, im, d) per kernel vector and `invert` the inverse of the integer
-matrix as one normalised matrix triple (re rows, im rows, d).  Elimination
-uses integer arithmetic only.
+matrix as one normalised matrix triple (re rows, im rows, d); no report
+inverts a matrix, and `invert` is kept only for `liealg.bform_inverse`.
+Elimination uses integer arithmetic only.
 """
 
 from __future__ import annotations

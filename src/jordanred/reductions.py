@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import AlgebraTag, AlgElement
 from .gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, bilinear, mat_vec, normalize,
                        to_numerators)
 from .jordan import JordanMatrix, SeveriClass, char_poly, classify_severi, inner, jordan_mul
-from .liealg import (LieCombo, bform_inverse, j0_dim, j0_gram, j0_numerators, orbit_rank,
-                     pi_table, traceless_numerators, wedge_pairs)
+from .liealg import (j0_dim, j0_gram, j0_numerators, orbit_rank, pi_table,
+                     traceless_numerators, wedge_pairs)
 from .linalg import RowSpan, nullspace
 from .polyq import PolyQi, poly_gcd, roots_qi
 
@@ -107,12 +107,6 @@ def _pivots(x, y):
 # -- membership -----------------------------------------------------------------
 
 
-def membership_values(X: JordanMatrix, Y: JordanMatrix) -> List[GaussRational]:
-    """The pairing trace(X o (u_k Y)) over the so3(A) basis."""
-    re, im, d = _wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y))
-    return [GaussRational._make(a, b, d) for a, b in pi_pairings(X.tag, re, im)]
-
-
 def membership(line: ReductionLine) -> bool:
     """Whether the plane is a point of the variety of reductions.
 
@@ -127,15 +121,6 @@ def membership(line: ReductionLine) -> bool:
 def _require_member(line: ReductionLine) -> None:
     if not membership(line):
         raise ValueError("line is not a point of the variety of reductions")
-
-
-def project_so3a(X: JordanMatrix, Y: JordanMatrix) -> LieCombo:
-    """The component of X wedge Y along so3(A) inside the wedge square of J0.
-
-    Computed through dual bases for the trace form B on the realized
-    operators; the result vanishes exactly when span{X, Y} is a member.
-    """
-    return pi_of_wedge(X.tag, wedge_of(X, Y))
 
 
 # -- the wedge square and the kernel of the projection ----------------------------
@@ -199,19 +184,6 @@ def _wedge_numerators(tag: AlgebraTag, x, y):
         re.append(a * c - b * e - f * h + g * k)
         im.append(a * e + b * c - f * k - g * h)
     return re, im, dx * dy
-
-
-def wedge_of(X: JordanMatrix, Y: JordanMatrix):
-    """X wedge Y over the wedge pairs of the J0 basis, as a normalised triple."""
-    return normalize(*_wedge_numerators(X.tag, j0_numerators(X), j0_numerators(Y)))
-
-
-def pi_of_wedge(tag: AlgebraTag, w) -> LieCombo:
-    """Extension of the projection to arbitrary wedge triples (re, im, d)."""
-    re, im, d = w
-    vr, vi = zip(*pi_pairings(tag, re, im))
-    br, bi, bd = bform_inverse(tag)
-    return LieCombo(tag, *mat_vec(br, vr, vi, bd * d, bi))
 
 
 def in_ker_pi(tag: AlgebraTag, w) -> bool:

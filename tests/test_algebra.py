@@ -3,7 +3,7 @@ import json
 import pytest
 
 from jordanred.algebra import (ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS,
-                               AlgElement, fano_triples, mult_table, qbilin,
+                               AlgElement, mult_table, qbilin,
                                qform, tag_by_name)
 from jordanred.gaussrat import GR_ONE, GR_ZERO
 from jordanred.sampling import make_rng, random_element
@@ -99,10 +99,9 @@ def test_octonion_table_shape():
                 assert k == 0 and s == -1
             else:
                 assert 1 <= k <= 7
-    triples = fano_triples()
-    assert len(triples) == 7
-    covered = set(frozenset(t) for t in triples)
-    assert len(covered) == 7
+    # the Fano lines: the index triples {i, j, k} with e_i e_j = +-e_k
+    lines = {frozenset((i, j, table[i][j][0])) for i in range(1, 8) for j in range(i + 1, 8)}
+    assert len(lines) == 7 and all(len(line) == 3 for line in lines)
 
 
 @pytest.mark.parametrize("tag", (ALG_R, ALG_C, ALG_H), ids=str)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jordanred.bott import (TorusCharacter, WeightVector,
-                            class_sizes, detE_from_supports,
+                            class_sizes,
                             enumerate_fixed_points, localize,
                             staircase_tangent_char)
 
@@ -67,6 +67,21 @@ def test_staircase_oracle_equals_templates():
     """The arm/leg formula and the tabulated characters agree on all 22 points."""
     for pt in enumerate_fixed_points():
         assert staircase_tangent_char(pt.supports) == pt.tangent_char
+
+
+def detE_from_supports(supports):
+    """(det E_0, det E_1) derived from the monomial ideals themselves."""
+    e0 = [0, 0, 0]
+    for k, cells in supports:
+        a, b = sorted(set(range(3)) - {k})
+        for c, r in cells:
+            e0[a] += c
+            e0[b] += r
+            e0[k] -= c + r
+    e1 = list(e0)
+    for k, cells in supports:
+        e1[k] += len(cells)
+    return tuple(e0), tuple(e1)
 
 
 def test_determinant_characters_from_ideals():

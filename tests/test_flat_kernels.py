@@ -6,7 +6,7 @@ rank-one minors) and the orbit map and unipotent products of `liealg`.  The
 references below are the per-scalar loops they replace: the algebra product
 from the multiplication table, the cyclic formula for the Jordan product, the
 determinant from traces of Jordan powers, the wedge and pi contraction, the
-tangent rows and the `PolyQi` minors loop on `j0_coords`, the matrix
+tangent rows and the `PolyQi` minors loop on J0 coordinate scalars, the matrix
 product, nilpotency test and exponential, the Gauss-Jordan elimination that
 `linalg.RowSpan` ran before its rows held integer numerators, and the
 slot-wise action of the so3(A) operators before each became one integer
@@ -23,18 +23,17 @@ import pytest
 from jordanred import reductions
 from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
-                                to_numerators)
+                                mat_vec, to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul, jordan_mul_full
-from jordanred.liealg import (LieCombo, So3AOperator, apply_j0_linear, bform_gram,
-                              exp_nilpotent, is_nilpotent, j0_basis, j0_coords, j0_dim,
+from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram, bform_inverse,
+                              exp_nilpotent, is_nilpotent, j0_basis, j0_dim,
                               j0_numerators, mult_matrices, nilpotent_generators,
                               orbit_rank, pi_table, random_unipotent, so3a_basis,
                               so3a_matrices, triality_basis, wedge_pairs)
 from jordanred.polyq import PolyQi, poly_gcd
-from jordanred.reductions import (ReductionLine, available_orbits, classify_orbit,
-                                  in_ker_pi, membership, membership_values, pi_of_wedge,
-                                  project_so3a, representative,
-                                  severi_points_on_line, tangent_dim, wedge_of)
+from jordanred.reductions import (ReductionLine, _wedge_numerators, available_orbits,
+                                  classify_orbit, in_ker_pi, membership, pi_pairings,
+                                  representative, severi_points_on_line, tangent_dim)
 from jordanred.sampling import make_rng, random_jordan, random_scalar
 
 HALF = GaussRational(Fraction(1, 2))
@@ -118,7 +117,7 @@ def ref_det(tag, X):
 
 
 def ref_wedge(X, Y):
-    xv, yv = j0_coords(X), j0_coords(Y)
+    xv, yv = from_numerators(*j0_numerators(X)), from_numerators(*j0_numerators(Y))
     return [xv[r] * yv[s] - xv[s] * yv[r] for r, s in wedge_pairs(X.tag)]
 
 
@@ -146,9 +145,30 @@ def ref_pairings(tag, w):
     return out
 
 
+def pi_through_b_inverse(X, Y):
+    """The projection pi of X wedge Y onto so3(A) through dual bases: the
+    coefficients B^-1 F(X wedge Y) over the so3(A) basis, F the pi pairings,
+    as a normalised triple (re, im, d)."""
+    tag = X.tag
+    re, im, d = _wedge_numerators(tag, j0_numerators(X), j0_numerators(Y))
+    vr, vi = zip(*pi_pairings(tag, re, im))
+    br, bi, bd = bform_inverse(tag)
+    return mat_vec(br, vr, vi, bd * d, bi)
+
+
+def realized(tag, coeffs):
+    """The coefficient triple (re, im, d) realized as sum c_k M_k on J0, in scalars."""
+    n = j0_dim(tag)
+    out = [[GR_ZERO] * n for _ in range(n)]
+    for c, m in zip(from_numerators(*coeffs), so3a_matrices(tag)):
+        if c:
+            out = [[o + c * v for o, v in zip(orow, mrow)] for orow, mrow in zip(out, m)]
+    return out
+
+
 def ref_tangent_rows(X, Y):
     n = j0_dim(X.tag)
-    xv, yv = j0_coords(X), j0_coords(Y)
+    xv, yv = from_numerators(*j0_numerators(X)), from_numerators(*j0_numerators(Y))
     rows = []
     for terms in pi_table(X.tag):
         row = [GR_ZERO] * (2 * n)
@@ -209,8 +229,8 @@ def ref_minor_gcd(X, Y):
     n0 = jordan_mul(X, X) - ident.scale(inner(X, X) * third)
     n1 = (jordan_mul(X, Y) - ident.scale(inner(X, Y) * third)).scale(2)
     n2 = jordan_mul(Y, Y) - ident.scale(inner(Y, Y) * third)
-    nc = list(zip(j0_coords(n0), j0_coords(n1), j0_coords(n2)))
-    mc = list(zip(j0_coords(X), j0_coords(Y)))
+    nc = list(zip(*(from_numerators(*j0_numerators(n)) for n in (n0, n1, n2))))
+    mc = list(zip(*(from_numerators(*j0_numerators(M)) for M in (X, Y))))
     minors = []
     for r in range(len(mc)):
         for s in range(r + 1, len(mc)):
@@ -555,10 +575,10 @@ def _mixed_denominators(line):
 def _assert_line_path_matches(line):
     X, Y, tag = line.X, line.Y, line.tag
     w = ref_wedge(X, Y)
-    wv = wedge_of(X, Y)
-    assert vector_view(wv) == w
+    wv = _wedge_numerators(tag, j0_numerators(X), j0_numerators(Y))
+    assert from_numerators(*wv) == w
     pairings = ref_pairings(tag, w)
-    assert membership_values(X, Y) == pairings
+    assert from_numerators(*zip(*pi_pairings(tag, *wv[:2])), wv[2]) == pairings
     member = all(v.is_zero() for v in pairings)
     assert membership(line) == member
     assert in_ker_pi(tag, wv) == member
@@ -566,12 +586,10 @@ def _assert_line_path_matches(line):
     assert in_ker_pi(tag, real_part) == all(v.is_zero() for v in
                                             ref_pairings(tag, [GaussRational(v.re)
                                                                for v in w]))
-    combo = pi_of_wedge(tag, wv)
-    assert vector_view((combo.nr, combo.ni, combo.d)) == list(combo.coeffs)
-    # B applied to the coefficients gives back the pairings
-    assert [sum((b * c for b, c in zip(row, combo.coeffs)), GR_ZERO)
+    # B applied to the coefficients of pi gives back the pairings
+    coeffs = vector_view(pi_through_b_inverse(X, Y))
+    assert [sum((b * c for b, c in zip(row, coeffs)), GR_ZERO)
             for row in bform_gram(tag)] == pairings
-    assert combo.coeffs == project_so3a(X, Y).coeffs
     assert orbit_rank(tag, j0_numerators(Y), j0_numerators(X)) == \
         ref_rank(ref_tangent_rows(X, Y))
     mc, nc, _ = reductions._pencil_polys(X, Y)
@@ -613,7 +631,8 @@ def test_a_purely_imaginary_pairing_is_not_a_member(tag):
     for r, s in pairs[:: max(1, len(pairs) // 4)]:
         line = ReductionLine(basis[r], basis[s].scale(GR_I))
         for each in (line, _mixed_denominators(line)):
-            vals = membership_values(each.X, each.Y)
+            re, im, d = _wedge_numerators(tag, j0_numerators(each.X), j0_numerators(each.Y))
+            vals = from_numerators(*zip(*pi_pairings(tag, re, im)), d)
             nonzero = [v for v in vals if not v.is_zero()]
             assert len(nonzero) == 1 and nonzero[0].nr == 0
             assert not _assert_line_path_matches(each)
@@ -644,22 +663,6 @@ def test_unipotent_products_match_the_scalar_loops(tag):
         got = random_unipotent(tag, random.Random(seed), factors)
         assert _fields(view(got)) == \
             _fields(ref_random_unipotent(tag, random.Random(seed), factors))
-
-
-@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
-def test_realized_combination_matches_the_scalar_sum(tag):
-    """LieCombo.realized against sum c_k M_k, one GaussRational entry at a time."""
-    rng = make_rng(70 + ALL_TAGS.index(tag))
-    mats = so3a_matrices(tag)
-    for kind in ("small", "tall", "mixed", "sparse", "zero"):
-        coeffs = [_scalar(rng, kind) for _ in mats]
-        n = j0_dim(tag)
-        ref = [[GR_ZERO] * n for _ in range(n)]
-        for c, m in zip(coeffs, mats):
-            ref = [[r + c * v for r, v in zip(rrow, mrow)] for rrow, mrow in zip(ref, m)]
-        combo = LieCombo(tag, *to_numerators(coeffs))
-        assert vector_view((combo.nr, combo.ni, combo.d)) == list(combo.coeffs) == coeffs
-        assert _fields(view(combo.realized())) == _fields(ref)
 
 
 # -- the so3(A) operators -----------------------------------------------------------------

@@ -8,15 +8,14 @@ from contextlib import contextmanager
 import pytest
 
 from jordanred.algebra import ALG_O, ALG_R, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr
 from jordanred.jordan import JordanMatrix, jordan_mul
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
 from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
-                                  classify_orbit, membership, pi_of_wedge,
-                                  project_so3a, representative,
-                                  severi_points_on_line, tangent_dim, wedge_of)
+                                  classify_orbit, membership, representative,
+                                  severi_points_on_line, tangent_dim)
 from jordanred.sampling import make_rng, random_member_line, random_traceless
-from test_flat_kernels import mat_mul, vector_view, view
+from test_flat_kernels import mat_mul, pi_through_b_inverse, realized
 
 COUNTS = {OrbitClass.OPEN0: (3, 0, False), OrbitClass.CODIM1: (1, 1, False),
           OrbitClass.CODIM2: (0, 1, False), OrbitClass.CODIM4: (0, 0, True)}
@@ -87,10 +86,10 @@ def test_projection_equivariance_octonions():
     x, y = random_traceless(tag, rng), random_traceless(tag, rng)
     u = ops[17]
     ux, uy = u.apply(x), u.apply(y)
-    w = to_numerators([a + b for a, b in zip(vector_view(wedge_of(ux, y)),
-                                              vector_view(wedge_of(x, uy)))])
-    lhs = view(pi_of_wedge(tag, w).realized())
-    pi_xy = view(project_so3a(x, y).realized())
+    lhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in
+           zip(realized(tag, pi_through_b_inverse(ux, y)),
+               realized(tag, pi_through_b_inverse(x, uy)))]
+    pi_xy = realized(tag, pi_through_b_inverse(x, y))
     umat = [[GaussRational(v) for v in row] for row in u.matrix]
     comm_l = mat_mul(umat, pi_xy)
     comm_r = mat_mul(pi_xy, umat)

@@ -7,14 +7,13 @@ from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement
 from jordanred.gaussrat import GR_ZERO, gr, mat_vec, normalize
 from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
-                              bform_inverse, bracket_in_span,
-                              is_nilpotent, j0_basis, j0_coords, j0_dim,
-                              j0_from_coords, j0_from_numerators, j0_gram,
-                              j0_numerators, lr_triality_triple,
-                              nilpotent_generators, random_unipotent,
+                              bform_inverse, bracket_in_span, bracket_matrix,
+                              is_nilpotent, j0_basis, j0_dim,
+                              j0_from_numerators, j0_gram, j0_numerators,
+                              mult_matrices, nilpotent_generators, random_unipotent,
                               so3a_basis, so3a_rank, stabilizer_dims,
-                              standard_derivation, traceless_numerators,
-                              triality_basis, triality_identity_holds)
+                              traceless_numerators, triality_basis,
+                              triality_identity_holds)
 from jordanred.linalg import RowSpan
 from jordanred.sampling import (make_rng, random_jordan, random_projected_rank_one,
                                 random_square_zero, random_traceless)
@@ -53,7 +52,7 @@ def test_triality_identity_exhaustive(tag):
 
 
 # sha256(repr(x))[:16] of triality_basis(tag) and of the terms of so3a_basis(tag):
-# LieCombo coordinates, bform_gram and the order of pi_table all depend on them.
+# bform_gram and the order of pi_table depend on them.
 BASIS_DIGESTS = {1: ("2e38e77b22c314a4", "3a45135300b20564"),
                  2: ("5c9b59504b236438", "cef6666bb8b9f239"),
                  4: ("0be8291e23281571", "66d5528e1e523c82"),
@@ -229,6 +228,33 @@ def test_bform_invertible(tag):
             assert s == (1 if i == j else 0)
 
 
+# -- the Der(A) + Im(A)^2 presentation of t(A), an independent cross-check -------
+
+
+def _combine(*terms):
+    """The integer matrix sum of c m over the (c, m) pairs."""
+    n = len(terms[0][1])
+    return tuple(tuple(sum(c * m[i][j] for c, m in terms) for j in range(n))
+                 for i in range(n))
+
+
+def lr_triality_triple(u, v):
+    """(L_u + R_u + L_v, L_u + L_v + R_v, R_u - L_v): for imaginary u, v a
+    triality triple in any alternative algebra."""
+    if not (u.re().is_zero() and v.re().is_zero()):
+        raise ValueError("arguments must be imaginary")
+    (lu, ru), (lv, rv) = mult_matrices(u), mult_matrices(v)
+    return (_combine((1, lu), (1, ru), (1, lv)), _combine((1, lu), (1, lv), (1, rv)),
+            _combine((1, ru), (-1, lv)))
+
+
+def standard_derivation(x, y):
+    """D_{x,y} = [L_x, L_y] + [L_x, R_y] + [R_x, R_y], a derivation of A."""
+    (lx, rx), (ly, ry) = mult_matrices(x), mult_matrices(y)
+    return _combine((1, bracket_matrix(lx, ly)), (1, bracket_matrix(lx, ry)),
+                    (1, bracket_matrix(rx, ry)))
+
+
 @pytest.mark.parametrize("tag", (ALG_C, ALG_H, ALG_O), ids=str)
 def test_lr_presentation_cross_check(tag):
     """L/R combinations and diagonal derivations recover t(A) exactly."""
@@ -288,11 +314,12 @@ def test_j0_coordinates(tag):
     basis = j0_basis(tag)
     assert len(basis) == j0_dim(tag) == 3 * tag.dim + 2
     x = random_traceless(tag, rng)
-    assert j0_from_coords(tag, j0_coords(x)) == x
+    nr, ni, d = j0_numerators(x)
+    assert j0_from_numerators(tag, nr, ni, d) == x
     with pytest.raises(ValueError):
-        j0_from_coords(tag, j0_coords(x)[:-1])
+        j0_from_numerators(tag, nr[:-1], ni[:-1], d)
     with pytest.raises(ValueError):
-        j0_coords(JordanMatrix.identity(tag))
+        j0_numerators(JordanMatrix.identity(tag))
     g = j0_gram(tag)
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):

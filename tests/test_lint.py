@@ -69,25 +69,60 @@ def test_no_floating_point_in_the_package():
     assert not found, found
 
 
+def _identifiers(node):
+    """The names a syntax tree refers to: Name ids, attribute names and imported names."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else
+                   sub.attr if isinstance(sub, ast.Attribute) else sub.name
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute, ast.alias)))
+
+
 def test_every_top_level_definition_is_used():
     """Each top-level def or class of the package, and each non-dunder method
-    of a top-level class, is named somewhere else."""
+    of a top-level class, is referred to by package code outside its own
+    definition, by perfbench/, or exported by __init__ (an import there).
+    Tests do not count: code that only tests reach belongs in the tests."""
     root = SRC.parents[1]
-    words = Counter(word for top in (SRC, root / "tests", root / "perfbench")
-                    for path in sorted(top.rglob("*.py"))
-                    for word in re.findall(r"\w+", path.read_text()))
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    package = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    benchmark = {word for path in sorted((root / "perfbench").glob("*.py"))
+                 for word in re.findall(r"\w+", path.read_text())}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
+    for name, tree in trees.items():
+        for node in tree.body:
             if not isinstance(node, defs):
                 continue
-            names = [node.name]
+            units = [node]
             if isinstance(node, ast.ClassDef):
-                names += [sub.name for sub in node.body if isinstance(sub, defs[:2])
+                units += [sub for sub in node.body if isinstance(sub, defs[:2])
                           and not (sub.name.startswith("__") and sub.name.endswith("__"))]
-            unused.extend("%s:%s" % (path.name, name) for name in names if words[name] < 2)
-    assert (root / "perfbench").is_dir()
+            unused.extend("%s:%s" % (name, unit.name) for unit in units
+                          if unit.name not in benchmark
+                          and package[unit.name] == _identifiers(unit)[unit.name])
+    assert len(trees) > 10 and benchmark
+    assert not unused, unused
+
+
+def test_no_unused_imports_in_the_package():
+    """Every name a package module imports is referred to by a Name, the root
+    of any attribute chain; __init__'s imports are its exports."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused.extend("%s:%s" % (path.name, name) for name in names if name not in used)
+    assert len(list(SRC.glob("*.py"))) > 10
     assert not unused, unused
 
 

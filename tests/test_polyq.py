@@ -286,7 +286,7 @@ def lin(r, q=1):
      [gr(Fraction(-720, 7))], [P(14, -7, 1)]),
 ], ids=["3/2", "-5/2", "-7", "35/6", "1/3-splits", "-720/7"])
 def test_real_cubic_with_one_rational_root(f, roots, leftovers):
-    assert all(c.is_real() for c in f.coeffs)
+    assert not any(c.ni for c in f.coeffs)
     assert roots_qi(f) == (roots, leftovers)
 
 
@@ -303,7 +303,7 @@ def test_real_cubic_with_one_rational_root(f, roots, leftovers):
      [gr(Fraction(1, 2)), gr(3, -4), gr(Fraction(1, 2))], []),
 ], ids=["2", "-1/3", "5/7", "-12/5", "60", "1/2-double"])
 def test_complex_cubic_with_a_rational_root(f, roots, leftovers):
-    assert not all(c.is_real() for c in f.coeffs)
+    assert any(c.ni for c in f.coeffs)
     assert roots_qi(f) == (roots, leftovers)
 
 
@@ -400,7 +400,7 @@ def _assert_complete(f, roots, leftovers):
      [gr(5, 10 ** 30), gr(-5, 10 ** 30)]),
 ], ids=["issue-tall", "three-nonreal", "tall-denominators", "double-tall"])
 def test_complex_cubics_with_planted_gaussian_roots(f, planted):
-    assert not all(c.is_real() for c in f.coeffs)
+    assert any(c.ni for c in f.coeffs)
     roots, leftovers = roots_qi(f)
     assert set(planted) <= set(roots)
     _assert_complete(f, roots, leftovers)

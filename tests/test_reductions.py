@@ -5,25 +5,24 @@ import pytest
 
 from jordanred import liealg, reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
-from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
+from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
+                                mat_mat, to_numerators)
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi, discriminant,
                               inner, jordan_mul, sigma1, sigma2)
-from jordanred.liealg import (apply_j0_linear, bform_gram, random_unipotent, so3a_basis,
-                              wedge_pairs)
-from jordanred.reductions import (OrbitClass, ReductionLine,
+from jordanred.liealg import (apply_j0_linear, bform_gram, bform_inverse, j0_numerators,
+                              random_unipotent, so3a_basis, wedge_pairs)
+from jordanred.reductions import (OrbitClass, ReductionLine, _wedge_numerators,
                                   available_orbits, classify_orbit,
                                   eval_cubic_ab, eval_cubic_theta, in_ker_pi,
                                   ker_pi_basis, ker_pi_dim, membership,
-                                  membership_values, omega_plucker,
-                                  pi_functional_matrix, pierce_from_roots, pi_of_wedge,
-                                  project_so3a, representative,
-                                  severi_points_on_line, tangent_dim,
-                                  wedge_of, z_representative)
+                                  omega_plucker, pi_functional_matrix, pi_pairings,
+                                  pierce_from_roots, representative,
+                                  severi_points_on_line, tangent_dim, z_representative)
 from jordanred.sampling import (make_rng, random_member_line,
                                 random_pierce_triple,
                                 random_projected_rank_one, random_square_zero,
                                 random_traceless)
-from test_flat_kernels import mat_mul, ref_omega, vector_view, view
+from test_flat_kernels import mat_mul, pi_through_b_inverse, realized, ref_omega, vector_view
 from test_hardening import TALL_LINES
 from test_linalg import ref_nullspace
 
@@ -96,18 +95,25 @@ def test_line_validation():
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_projection_vanishes_exactly_on_members(tag):
-    line = diag_line(tag)
-    assert project_so3a(line.X, line.Y).is_zero()
-    bad = off_diag_perturbation(tag)
-    combo = project_so3a(bad.X, bad.Y)
-    assert not combo.is_zero()
-    # projection reproduces the membership pairings through the dual basis
-    vals = membership_values(bad.X, bad.Y)
-    assert any(not v.is_zero() for v in vals)
-    for x in (bad.X, bad.X.scale(gr(1, 2) / 3)):
-        coeffs = project_so3a(x, bad.Y).coeffs
-        assert [sum((b * c for b, c in zip(row, coeffs)), GR_ZERO)
-                for row in bform_gram(tag)] == membership_values(x, bad.Y)
+    """pi through B^-1 vanishes exactly when the pairings do and the line is a
+    member: on every orbit representative moved by a unipotent automorphism,
+    and on the open one with Y perturbed off the variety.  B pi gives back the
+    pairings, and B^-1 B = I."""
+    g = bform_gram(tag)
+    n = len(g)
+    zero, one = ((0,) * n,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert mat_mat(bform_inverse(tag), (g, zero, 1)) == (one, zero, 1)
+    u = random_unipotent(tag, make_rng(21 + ALL_TAGS.index(tag)), factors=2)
+    reps = [representative(tag, orbit) for orbit in available_orbits(tag)]
+    bad = ReductionLine(reps[0].X, reps[0].Y + off_diag_perturbation(tag).Y)
+    for line, member in [(rep, True) for rep in reps] + [(bad, False)]:
+        X, Y = (apply_j0_linear(tag, u, M) for M in (line.X, line.Y))
+        w = _wedge_numerators(tag, j0_numerators(X), j0_numerators(Y))
+        pairings = from_numerators(*zip(*pi_pairings(tag, *w[:2])), w[2])
+        coeffs = vector_view(pi_through_b_inverse(X, Y))
+        assert [sum((b * c for b, c in zip(row, coeffs)), GR_ZERO) for row in g] == pairings
+        assert (not any(coeffs)) == in_ker_pi(tag, w) == membership(ReductionLine(X, Y)) \
+            == member
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
@@ -118,7 +124,8 @@ def test_membership_values_match_the_symbolic_action(tag):
     ops = so3a_basis(tag)
     for _ in range(2):
         x, y = random_traceless(tag, rng), random_traceless(tag, rng)
-        vals = membership_values(x, y)
+        re, im, d = _wedge_numerators(tag, j0_numerators(x), j0_numerators(y))
+        vals = from_numerators(*zip(*pi_pairings(tag, re, im)), d)
         assert len(vals) == len(ops)
         for k, op in enumerate(ops):
             assert vals[k] == inner(x, op.apply(y))
@@ -167,10 +174,10 @@ def test_projection_equivariance(tag):
         y = random_traceless(tag, rng)
         u = ops[rng.randrange(len(ops))]
         ux, uy = u.apply(x), u.apply(y)
-        w = to_numerators([a + b for a, b in zip(vector_view(wedge_of(ux, y)),
-                                                  vector_view(wedge_of(x, uy)))])
-        lhs = view(pi_of_wedge(tag, w).realized())
-        pi_xy = view(project_so3a(x, y).realized())
+        lhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in
+               zip(realized(tag, pi_through_b_inverse(ux, y)),
+                   realized(tag, pi_through_b_inverse(x, uy)))]
+        pi_xy = realized(tag, pi_through_b_inverse(x, y))
         umat = [[GaussRational(v) for v in row] for row in u.matrix]
         rhs_m = mat_mul(umat, pi_xy)
         rhs_s = mat_mul(pi_xy, umat)
@@ -221,8 +228,8 @@ def test_omega_plucker(tag):
     omega = vector_view(omega_plucker(tri))
     assert omega == ref_omega(tri)
     assert any(not v.is_zero() for v in omega)
-    d = vector_view(wedge_of(JordanMatrix.diag(tag, 1, -1, 0),
-                             JordanMatrix.diag(tag, 0, 1, -1)))
+    d = from_numerators(*_wedge_numerators(tag, j0_numerators(JordanMatrix.diag(tag, 1, -1, 0)),
+                                           j0_numerators(JordanMatrix.diag(tag, 0, 1, -1))))
     ratio = None
     for a, b in zip(omega, d):
         if b.is_zero():
@@ -306,9 +313,7 @@ def test_severi_points_on_open_lines(tag):
     for line in lines:
         rep = severi_points_on_line(line)
         assert not rep.whole_line and len(rep.points) == 3
-        assert len({(p.param[0].to_json() if p.param[0].is_real() else tuple(p.param[0].to_json()),
-                     p.param[1].to_json() if p.param[1].is_real() else tuple(p.param[1].to_json()))
-                    for p in rep.points if p.param}) == len(rep.points)
+        assert len({p.param for p in rep.points if p.param}) == len(rep.points)
         total = JordanMatrix.zero(tag)
         for p in rep.points:
             assert not p.special
@@ -606,7 +611,8 @@ def test_cubic_tangent_value(tag):
         u0 = u.re()
         x = JordanMatrix(tag, (-GR_I * u0, GR_I * u0, GR_ZERO),
                          (v.scale(GR_I), v.conj(), u))
-        expected = -(gr(2) / 3) * GR_I * u0 * qbilin(u.im_part(), u.im_part())
+        im_u = u - AlgElement.scalar(tag, u0)
+        expected = -(gr(2) / 3) * GR_I * u0 * qbilin(im_u, im_u)
         assert eval_cubic_theta(tag, theta, x) == expected
         # linear in theta and cubic in x, over other denominators
         lam = gr(1, 2) / 3
