@@ -6,8 +6,8 @@ localization computations attached to the degree-57 sixfold.
 Everything is computed over Q(i); there is no floating point anywhere.
 """
 
-from .algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, AlgebraTag, qbilin, qform
-from .gaussrat import GaussRational, gr
+from .algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, AlgebraTag, qbilin
+from .gaussrat import GaussRational
 from .jordan import (JordanMatrix, SeveriClass, cayley_hamilton_residual,
                      char_poly, classify_severi, det, det3, discriminant,
                      inner, is_rank_one, jordan_mul, rank_one_lift, trace_forms)

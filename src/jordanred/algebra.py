@@ -260,9 +260,6 @@ class AlgElement(FlatVector):
         return AlgElement._raw(self.tag, nr[:1] + tuple(-v for v in nr[1:]),
                                ni[:1] + tuple(-v for v in ni[1:]), self.d)
 
-    def re(self) -> GaussRational:
-        return GaussRational._make(self.nr[0], self.ni[0], self.d)
-
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.coords):
@@ -291,7 +288,3 @@ def qbilin(x: AlgElement, y: AlgElement) -> GaussRational:
     if x.tag != y.tag:
         raise ValueError("algebra mismatch: %s vs %s" % (x.tag, y.tag))
     return GaussRational._make(*bilinear(x.nr, x.ni, y.nr, y.ni), x.d * y.d)
-
-
-def qform(x: AlgElement) -> GaussRational:
-    return qbilin(x, x)

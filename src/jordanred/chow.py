@@ -87,9 +87,6 @@ class BidegreePoly:
         """The coefficient of h^2 h'^2 (the point class of the surface)."""
         return self.c[2][2]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.c for v in row)
-
     def __repr__(self):
         terms = ["%d h^%d h'^%d" % (self.c[i][j], i, j)
                  for i in range(3) for j in range(3) if self.c[i][j]]

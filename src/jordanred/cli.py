@@ -40,6 +40,8 @@ from .sampling import (DEFAULT_SEED, make_rng, random_element, random_jordan,
 SCHEMA = "1"
 
 # Fixed property-campaign sample counts, recorded in every report header.
+# Two campaigns use counts that the header does not record: associativity
+# draws 20 triples and the diagonal-permutation automorphisms 10 pairs.
 SAMPLES = {
     "unit_law": 20,
     "composition_random": 100,
@@ -115,7 +117,7 @@ def _plain(v):
     """Canonical JSON-able rendering of computed values."""
     if isinstance(v, GaussRational):
         return v.to_json()
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str, float)):
+    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
@@ -140,46 +142,35 @@ def build_verify_algebra(algebra: Optional[str], seed: int) -> Report:
         rng = make_rng(seed)
         a = tag.dim
         one = AlgElement.one(tag)
-        ok = True
-        for _ in range(SAMPLES["unit_law"]):
-            x = random_element(tag, rng)
-            if one * x != x or x * one != x:
-                ok = False
-        rep.add_bool("%s: 1 is a two-sided unit (random)" % tag, ok, "trivial")
+        units = [random_element(tag, rng) for _ in range(SAMPLES["unit_law"])]
+        rep.add_bool("%s: 1 is a two-sided unit (random)" % tag,
+                     all(one * x == x and x * one == x for x in units), "trivial")
         ok = all(qbilin(ei * ej, ei * ej) ==
                  qbilin(ei, ei) * qbilin(ej, ej)
                  for i in range(a) for j in range(a)
                  for ei in (AlgElement.basis(tag, i),)
                  for ej in (AlgElement.basis(tag, j),))
         rep.add_bool("%s: composition law over basis pairs" % tag, ok, "reference")
-        ok = True
-        for _ in range(SAMPLES["composition_random"]):
-            x, y = random_element(tag, rng), random_element(tag, rng)
-            if qbilin(x * y, x * y) != qbilin(x, x) * qbilin(y, y):
-                ok = False
+        pairs = [(random_element(tag, rng), random_element(tag, rng))
+                 for _ in range(SAMPLES["composition_random"])]
+        ok = all(qbilin(x * y, x * y) == qbilin(x, x) * qbilin(y, y) for x, y in pairs)
         rep.add_bool("%s: composition law (random)" % tag, ok, "reference")
         basis = [AlgElement.basis(tag, k) for k in range(a)]
         ok = all((x * x) * y == x * (x * y) and (y * x) * x == y * (x * x)
                  for x in basis for y in basis)
         rep.add_bool("%s: alternativity over basis" % tag, ok, "derived")
-        ok = True
-        for _ in range(SAMPLES["conj_random"]):
-            x = random_element(tag, rng)
-            if x * x.conj() != AlgElement.scalar(tag, qbilin(x, x)):
-                ok = False
-            if x.conj().conj() != x:
-                ok = False
+        conjugated = [random_element(tag, rng) for _ in range(SAMPLES["conj_random"])]
+        ok = all(x * x.conj() == AlgElement.scalar(tag, qbilin(x, x))
+                 and x.conj().conj() == x for x in conjugated)
         rep.add_bool("%s: x conj(x) = q(x) and conj is an involution" % tag,
                      ok, "trivial")
         ok = all((x * y).conj() == y.conj() * x.conj() for x in basis for y in basis)
         rep.add_bool("%s: conj(xy) = conj(y) conj(x) over basis" % tag, ok, "derived")
         if a <= 4:
-            ok = True
-            for _ in range(20):
-                x, y, z = (random_element(tag, rng) for _ in range(3))
-                if (x * y) * z != x * (y * z):
-                    ok = False
-            rep.add_bool("%s: associativity (random)" % tag, ok, "derived")
+            triples = [(random_element(tag, rng), random_element(tag, rng),
+                        random_element(tag, rng)) for _ in range(20)]
+            rep.add_bool("%s: associativity (random)" % tag,
+                         all((x * y) * z == x * (y * z) for x, y, z in triples), "derived")
         else:
             e1, e2, e4 = basis[1], basis[2], basis[4]
             rep.add_bool("%s: an associator does not vanish" % tag,
@@ -202,22 +193,18 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
                      jordan_mul(JordanMatrix.diag(tag, 2, 3, 5),
                                 JordanMatrix.diag(tag, 7, 1, -1))
                      == JordanMatrix.diag(tag, 14, 3, -5), "trivial")
-        ok_mul = ok_jid = True
-        for _ in range(SAMPLES["jordan_identity"]):
-            A, B = random_jordan(tag, rng), random_jordan(tag, rng)
-            if jordan_mul(A, B) != jordan_mul_full(A, B):
-                ok_mul = False
-            AA = jordan_mul(A, A)
-            if jordan_mul(jordan_mul(A, B), AA) != jordan_mul(A, jordan_mul(B, AA)):
-                ok_jid = False
+        pairs = [(random_jordan(tag, rng), random_jordan(tag, rng))
+                 for _ in range(SAMPLES["jordan_identity"])]
         rep.add_bool("%s: product agrees with the full-matrix oracle" % tag,
-                     ok_mul, "derived")
-        rep.add_bool("%s: Jordan identity (random)" % tag, ok_jid, "reference")
-        ok = True
-        for _ in range(SAMPLES["cayley_hamilton"]):
-            if not cayley_hamilton_residual(random_jordan(tag, rng)).is_zero():
-                ok = False
-        rep.add_bool("%s: Cayley-Hamilton residual vanishes" % tag, ok, "reference")
+                     all(jordan_mul(A, B) == jordan_mul_full(A, B) for A, B in pairs),
+                     "derived")
+        ok = all(jordan_mul(jordan_mul(A, B), AA) == jordan_mul(A, jordan_mul(B, AA))
+                 for A, B in pairs for AA in (jordan_mul(A, A),))
+        rep.add_bool("%s: Jordan identity (random)" % tag, ok, "reference")
+        matrices = [random_jordan(tag, rng) for _ in range(SAMPLES["cayley_hamilton"])]
+        rep.add_bool("%s: Cayley-Hamilton residual vanishes" % tag,
+                     all(cayley_hamilton_residual(A).is_zero() for A in matrices),
+                     "reference")
         t, q, qp = trace_forms(JordanMatrix.diag(tag, 0, 1, -1))
         rep.add("%s: trace forms of diag(0,1,-1)" % tag,
                 ["0", "2", "-1"], [t, q, qp], "trivial")
@@ -245,20 +232,11 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
                 "derived")
         rep.add("%s: discriminant of diag(0,1,-1)" % tag, "8",
                 discriminant(JordanMatrix.diag(tag, 0, 1, -1)), "trivial")
-        ok = True
-        for _ in range(SAMPLES["discriminant_oracle"]):
-            X = random_traceless(tag, rng)
-            _, q, _ = trace_forms(X)
-            d = det(X)
-            p_coef, q_coef = -q / 2, -d
-            cubic_disc = -4 * p_coef * p_coef * p_coef - 27 * q_coef * q_coef
-            disc = discriminant(X)
-            if disc.is_zero() != cubic_disc.is_zero():
-                ok = False
-            if disc != 2 * cubic_disc:
-                ok = False
+        traceless = [random_traceless(tag, rng)
+                     for _ in range(SAMPLES["discriminant_oracle"])]
         rep.add_bool("%s: discriminant matches the cubic-discriminant oracle"
-                     % tag, ok, "derived")
+                     % tag, all(_matches_cubic_discriminant(X) for X in traceless),
+                     "derived")
         # nondegeneracy of the trace form on all of J3(A)
         basis = [JordanMatrix.diag(tag, 1, 0, 0), JordanMatrix.diag(tag, 0, 1, 0),
                  JordanMatrix.diag(tag, 0, 0, 1)]
@@ -271,17 +249,21 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
         gram = [[inner(a, b) for b in basis] for a in basis]
         rep.add("%s: trace form is nondegenerate on J3(A)" % tag,
                 3 * tag.dim + 3, rank(to_numerators(row)[:2] for row in gram), "derived")
-        ok = True
-        for _ in range(10):
-            A, B = random_jordan(tag, rng), random_jordan(tag, rng)
-            for sg in (sigma1, sigma2):
-                if sg(jordan_mul(A, B)) != jordan_mul(sg(A), sg(B)):
-                    ok = False
-                if det(sg(A)) != det(A):
-                    ok = False
+        pairs = [(random_jordan(tag, rng), random_jordan(tag, rng)) for _ in range(10)]
+        ok = all(sg(jordan_mul(A, B)) == jordan_mul(sg(A), sg(B)) and det(sg(A)) == det(A)
+                 for A, B in pairs for sg in (sigma1, sigma2))
         rep.add_bool("%s: diagonal-permutation automorphisms preserve o and det"
                      % tag, ok, "derived")
     return rep
+
+
+def _matches_cubic_discriminant(X: JordanMatrix) -> bool:
+    """disc(X) is twice the discriminant of t^3 + p t + q, p = -q(X)/2, q = -det X."""
+    _, q, _ = trace_forms(X)
+    p_coef, q_coef = -q / 2, -det(X)
+    cubic_disc = -4 * p_coef * p_coef * p_coef - 27 * q_coef * q_coef
+    disc = discriminant(X)
+    return disc.is_zero() == cubic_disc.is_zero() and disc == 2 * cubic_disc
 
 
 # -- lie-dims -----------------------------------------------------------------------
@@ -303,28 +285,20 @@ def build_lie_dims(seed: int) -> Report:
     for tag in ALL_TAGS:
         rng = make_rng(seed)
         ident = JordanMatrix.identity(tag)
-        ok_der = ok_orth = ok_tr = True
         ops = so3a_basis(tag)
-        for op in ops:
-            if not op.apply(ident).is_zero():
-                ok_der = False
         pairs = [(random_jordan(tag, rng), random_jordan(tag, rng))
                  for _ in range(SAMPLES["derivation_pairs"])]
-        step = max(1, len(ops) // 8)
-        for op in ops[::step]:
-            for X, Y in pairs:
-                if op.apply(jordan_mul(X, Y)) != \
-                        jordan_mul(op.apply(X), Y) + jordan_mul(X, op.apply(Y)):
-                    ok_der = False
-                if not (inner(op.apply(X), Y) + inner(X, op.apply(Y))).is_zero():
-                    ok_orth = False
-                if not op.apply(X).trace().is_zero():
-                    ok_tr = False
-        rep.add_bool("%s: derivation identity (sampled)" % tag, ok_der, "reference")
-        rep.add_bool("%s: infinitesimal orthogonality (sampled)" % tag, ok_orth,
+        images = [(op, X, Y, op.apply(X), op.apply(Y))
+                  for op in ops[::max(1, len(ops) // 8)] for X, Y in pairs]
+        ok = all(op.apply(jordan_mul(X, Y)) == jordan_mul(dX, Y) + jordan_mul(X, dY)
+                 for op, X, Y, dX, dY in images)
+        rep.add_bool("%s: derivation identity (sampled)" % tag, ok, "reference")
+        ok = all((inner(dX, Y) + inner(X, dY)).is_zero() for _, X, Y, dX, dY in images)
+        rep.add_bool("%s: infinitesimal orthogonality (sampled)" % tag, ok,
                      "reference")
-        rep.add_bool("%s: operators kill I and preserve trace" % tag, ok_tr,
-                     "trivial")
+        ok = all(op.apply(ident).is_zero() for op in ops) and \
+            all(dX.trace().is_zero() for _, _, _, dX, _ in images)
+        rep.add_bool("%s: operators kill I and preserve trace" % tag, ok, "trivial")
         ok = all(triality_identity_holds(tag, tr) for tr in triality_basis(tag))
         rep.add_bool("%s: triality triples satisfy the defining identity" % tag,
                      ok, "reference")
@@ -339,13 +313,10 @@ def build_lie_dims(seed: int) -> Report:
         rep.add("%s: perp dimension on the square-zero locus" % tag,
                 tag.dim + 2, perp3, "reference")
         n = len(ops)
-        ok = True
-        for _ in range(SAMPLES["bracket_samples"]):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if not bracket_in_span(tag, i, j):
-                ok = False
-        rep.add_bool("%s: brackets stay in the span (sampled)" % tag, ok,
-                     "derived")
+        brackets = [(rng.randrange(n), rng.randrange(n))
+                    for _ in range(SAMPLES["bracket_samples"])]
+        rep.add_bool("%s: brackets stay in the span (sampled)" % tag,
+                     all(bracket_in_span(tag, i, j) for i, j in brackets), "derived")
     return rep
 
 
@@ -364,7 +335,7 @@ def build_orbits(algebra: Optional[str], line_file: Optional[str], seed: int) ->
             except RecursionError:
                 raise ValueError("line file %s is nested too deeply" % line_file) from None
         line = ReductionLine.from_json(data)
-        if algebra is not None and line.tag.name != algebra:
+        if algebra not in (None, "all") and line.tag.name != algebra:
             raise ValueError("line is over %s, not %s" % (line.tag.name, algebra))
         rep = Report("orbits", {"algebra": line.tag.name, "line": line_file,
                                 "seed": seed})
@@ -378,16 +349,13 @@ def build_orbits(algebra: Optional[str], line_file: Optional[str], seed: int) ->
             rep.result.update({
                 "orbit": orbit.value,
                 "tangent_dim": td,
-                "rank_one_points": {"general": pts.count_general(),
-                                    "special": pts.count_special(),
-                                    "whole_line": pts.whole_line},
+                "rank_one_points": dict(zip(("general", "special", "whole_line"),
+                                            pts.counts())),
             })
             rep.add("orbit", orbit.value, orbit.value, "reference")
             rep.add("tangent dimension", 3 * line.tag.dim, td, "reference")
             rep.add("rank-one points (general, special, whole_line)",
-                    list(SEVERI_TABLE[orbit]),
-                    [pts.count_general(), pts.count_special(), pts.whole_line],
-                    "reference")
+                    SEVERI_TABLE[orbit], pts.counts(), "reference")
         return rep
     rep = Report("orbits", {"algebra": algebra or "all", "seed": seed,
                             "samples": SAMPLES})
@@ -399,23 +367,18 @@ def build_orbits(algebra: Optional[str], line_file: Optional[str], seed: int) ->
                          % (tag, orbit.value), membership(line), "reference")
             rep.add("%s %s: classification" % (tag, orbit.value),
                     orbit.value, classify_orbit(line).value, "reference")
-            pts = severi_points_on_line(line)
             rep.add("%s %s: rank-one point counts" % (tag, orbit.value),
-                    list(SEVERI_TABLE[orbit]),
-                    [pts.count_general(), pts.count_special(), pts.whole_line],
+                    SEVERI_TABLE[orbit], severi_points_on_line(line).counts(),
                     "reference")
             rep.add("%s %s: tangent dimension" % (tag, orbit.value),
                     3 * tag.dim, tangent_dim(line), "reference")
-        ok = True
-        for _ in range(SAMPLES["membership_basis_invariance"]):
-            line = representative(tag, OrbitClass.OPEN0)
-            a, b = rng.randint(1, 3), rng.randint(-2, 2)
-            c, d = rng.randint(-2, 2), rng.randint(1, 3)
-            if a * d - b * c == 0:
-                d += 1
-            changed = line.basis_change(a, b, c, d)
-            if membership(changed) != membership(line):
-                ok = False
+        line = representative(tag, OrbitClass.OPEN0)
+        changes = [(rng.randint(1, 3), rng.randint(-2, 2), rng.randint(-2, 2),
+                    rng.randint(1, 3))
+                   for _ in range(SAMPLES["membership_basis_invariance"])]
+        member = membership(line)
+        ok = all(membership(line.basis_change(a, b, c, d if a * d != b * c else d + 1))
+                 == member for a, b, c, d in changes)
         rep.add_bool("%s: membership is basis invariant" % tag, ok, "derived")
     return rep
 
@@ -430,8 +393,7 @@ def build_linear_spaces(algebra: Optional[str], seed: int) -> Report:
         counts, expected = [], []
         for orbit in available_orbits(tag):
             pts = severi_points_on_line(representative(tag, orbit))
-            counts.append([orbit.value, pts.count_general(),
-                           pts.count_special(), pts.whole_line])
+            counts.append([orbit.value, *pts.counts()])
             expected.append([orbit.value, *SEVERI_TABLE[orbit]])
         rep.add("%s: maximal linear space counts through orbit points" % tag,
                 expected, counts, "reference")
@@ -567,18 +529,14 @@ def build_properties(seed: int) -> Report:
         tri = pierce_from_roots(JordanMatrix.diag(tag, -1, 0, 1),
                                 (GaussRational(-1), GR_ZERO, GR_ONE))
         omega = omega_plucker(tri)
-        ok = True
-        for _ in range(SAMPLES["cubic_vanishing"]):
-            x = random_projected_rank_one(tag, rng)
-            if not eval_cubic_theta(tag, omega, x).is_zero():
-                ok = False
-        for _ in range(SAMPLES["square_zero_vanishing"]):
-            x = random_square_zero(tag, rng)
-            if not eval_cubic_theta(tag, omega, x).is_zero():
-                ok = False
-            A, B = random_traceless(tag, rng), random_traceless(tag, rng)
-            if not eval_cubic_ab(A, B, x).is_zero():
-                ok = False
+        projected = [random_projected_rank_one(tag, rng)
+                     for _ in range(SAMPLES["cubic_vanishing"])]
+        square_zero = [(random_square_zero(tag, rng), random_traceless(tag, rng),
+                        random_traceless(tag, rng))
+                       for _ in range(SAMPLES["square_zero_vanishing"])]
+        ok = all(eval_cubic_theta(tag, omega, x).is_zero() for x in projected) and \
+            all(eval_cubic_theta(tag, omega, x).is_zero() and eval_cubic_ab(A, B, x).is_zero()
+                for x, A, B in square_zero)
         rep.add_bool("%s: cubic forms vanish on the projected rank-one locus"
                      % tag, ok, "reference")
         tri = random_pierce_triple(tag, rng)
@@ -608,66 +566,62 @@ def build_all(seed: int) -> List[Report]:
     return reps
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line `error: <message>` and exits 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
+ALGEBRA = ("--algebra", {"choices": ["R", "C", "H", "O", "all"], "default": "all"})
+
+# Each subcommand: (help, options, the reports it builds from the parsed
+# arguments).  The lambdas read the cli.build_* globals when they run, so a
+# builder swapped on the module is the one called.
+COMMANDS = {
+    "verify-algebra": ("composition-algebra checks", [ALGEBRA],
+                       lambda a: [build_verify_algebra(a.algebra, a.seed)]),
+    "verify-jordan": ("Jordan-algebra checks", [ALGEBRA],
+                      lambda a: [build_verify_jordan(a.algebra, a.seed)]),
+    "lie-dims": ("derivation-algebra dimension checks", [],
+                 lambda a: [build_lie_dims(a.seed)]),
+    "orbits": ("orbit suite, or classify a line from a file",
+               [ALGEBRA, ("--line", {"help": "JSON file with spanning matrices X and Y"})],
+               lambda a: [build_orbits(a.algebra, a.line, a.seed)]),
+    "linear-spaces": ("maximal linear space counts", [ALGEBRA],
+                      lambda a: [build_linear_spaces(a.algebra, a.seed)]),
+    "degree": ("degree 57 by two routes", [], lambda a: [build_degree()]),
+    "betti": ("Betti table, Euler and fixed-point count",
+              [("--a", {"type": int, "choices": [1, 2, 4, 8], "required": True})],
+              lambda a: [build_betti(a.a)]),
+    "bott": ("torus localization report", [("--weights", {"default": "0,1,3"})],
+             lambda a: [build_bott(a.weights)]),
+    "all": ("every suite in sequence", [], lambda a: build_all(a.seed)),
+}
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON")
     common.add_argument("--text", action="store_true", help="emit text (default)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the property-check sampler")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jordanred",
         description="Exact verification suite for composition algebras, "
                     "3x3 Hermitian Jordan algebras and their varieties of "
                     "reductions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("verify-algebra", parents=[common],
-                       help="composition-algebra checks")
-    p.add_argument("--algebra", choices=["R", "C", "H", "O", "all"], default="all")
-    p = sub.add_parser("verify-jordan", parents=[common],
-                       help="Jordan-algebra checks")
-    p.add_argument("--algebra", choices=["R", "C", "H", "O", "all"], default="all")
-    sub.add_parser("lie-dims", parents=[common],
-                   help="derivation-algebra dimension checks")
-    p = sub.add_parser("orbits", parents=[common],
-                       help="orbit suite, or classify a line from a file")
-    p.add_argument("--algebra", choices=["R", "C", "H", "O", "all"], default=None)
-    p.add_argument("--line", help="JSON file with spanning matrices X and Y")
-    p = sub.add_parser("linear-spaces", parents=[common],
-                       help="maximal linear space counts")
-    p.add_argument("--algebra", choices=["R", "C", "H", "O", "all"], default="all")
-    sub.add_parser("degree", parents=[common], help="degree 57 by two routes")
-    p = sub.add_parser("betti", parents=[common],
-                       help="Betti table, Euler and fixed-point count")
-    p.add_argument("--a", type=int, choices=[1, 2, 4, 8], required=True)
-    p = sub.add_parser("bott", parents=[common], help="torus localization report")
-    p.add_argument("--weights", default="0,1,3")
-    sub.add_parser("all", parents=[common], help="every suite in sequence")
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
 
     args = parser.parse_args(argv)
     as_json = args.json and not args.text
 
     try:
-        if args.command == "verify-algebra":
-            reports = [build_verify_algebra(args.algebra, args.seed)]
-        elif args.command == "verify-jordan":
-            reports = [build_verify_jordan(args.algebra, args.seed)]
-        elif args.command == "lie-dims":
-            reports = [build_lie_dims(args.seed)]
-        elif args.command == "orbits":
-            reports = [build_orbits(None if args.algebra in (None, "all")
-                                    else args.algebra, args.line, args.seed)]
-        elif args.command == "linear-spaces":
-            reports = [build_linear_spaces(args.algebra, args.seed)]
-        elif args.command == "degree":
-            reports = [build_degree()]
-        elif args.command == "betti":
-            reports = [build_betti(args.a)]
-        elif args.command == "bott":
-            reports = [build_bott(args.weights)]
-        elif args.command == "all":
-            reports = build_all(args.seed)
-        else:  # pragma: no cover
-            parser.error("unknown command")
+        reports = COMMANDS[args.command][2](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

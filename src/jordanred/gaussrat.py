@@ -287,11 +287,6 @@ GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
 
 
-def gr(re=0, im=0) -> GaussRational:
-    """Shorthand constructor."""
-    return GaussRational(re, im)
-
-
 # -- the numerator layout of vectors -------------------------------------------
 
 

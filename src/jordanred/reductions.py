@@ -295,6 +295,10 @@ class SeveriPointReport:
     def count_special(self) -> int:
         return sum(p.extension_degree for p in self.points if p.special)
 
+    def counts(self) -> Tuple[int, int, bool]:
+        """(general, special, whole_line), the triple SEVERI_TABLE lists per orbit."""
+        return self.count_general(), self.count_special(), self.whole_line
+
 
 def _over_common_denominator(numerators):
     """Coefficient rows of sum_i A_i t^i, coordinate by coordinate.

@@ -230,6 +230,23 @@ def test_malformed_line_exit_code(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "--a", "3"],
+    ["orbits", "--algebra", "Q"],
+    ["bott", "--seed", "x"],
+    ["nosuch"],
+    [],
+    ["degree", "--bogus"],
+], ids=["bad-choice", "bad-algebra", "bad-seed", "unknown-subcommand", "no-subcommand",
+        "unknown-option"])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_reports_are_deterministic():
     _, out1 = run_cli(["verify-algebra", "--algebra", "H", "--json", "--seed", "7"])
     _, out2 = run_cli(["verify-algebra", "--algebra", "H", "--json", "--seed", "7"])
@@ -252,6 +269,26 @@ def test_all_report_digest_is_pinned(seed):
     code, out = run_cli(["all", "--json", "--seed", str(seed)])
     assert code == 1  # the three bott red flags
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_REPORT_DIGESTS[seed]
+
+
+# SHA-256 of the states of the generators of `all --seed 7` after the campaign.
+CAMPAIGN_DRAW_DIGEST = "a958fbe238879d411007abc94df68e67622df9768502bf4c0345c58ac756b1ae"
+
+
+def test_every_campaign_draw_is_pinned(monkeypatch):
+    """Every campaign draws the same samples in the same order, so each of the
+    20 per-algebra generators of `all` ends in its recorded state."""
+    rngs = []
+    real = cli.make_rng
+
+    def make_rng(seed):
+        rngs.append(real(seed))
+        return rngs[-1]
+    monkeypatch.setattr(cli, "make_rng", make_rng)
+    cli.build_all(7)
+    assert len(rngs) == 20
+    states = json.dumps([r.getstate() for r in rngs])
+    assert hashlib.sha256(states.encode()).hexdigest() == CAMPAIGN_DRAW_DIGEST
 
 
 def test_verify_suites_pass():

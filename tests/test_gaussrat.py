@@ -6,16 +6,16 @@ import pytest
 
 from jordanred import gaussrat
 from jordanred.algebra import ALG_C, AlgElement
-from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
+from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 mat_vec, to_numerators)
 from jordanred.reductions import OrbitClass, representative
 
 
 def test_construction_and_normalization():
-    x = gr(Fraction(2, 4), Fraction(-6, 9))
+    x = GaussRational(Fraction(2, 4), Fraction(-6, 9))
     assert x.re == Fraction(1, 2) and x.im == Fraction(-2, 3)
-    assert gr(3) == gr(Fraction(6, 2))
-    assert gr(0, 0).is_zero() and not gr(0, 1).is_zero()
+    assert GaussRational(3) == GaussRational(Fraction(6, 2))
+    assert GaussRational(0, 0).is_zero() and not GaussRational(0, 1).is_zero()
 
 
 
@@ -47,9 +47,9 @@ def test_inexact_parts_are_refused(value):
 def test_field_axioms_random():
     rng = random.Random(0)
     for _ in range(200):
-        a = gr(rng.randint(-5, 5), rng.randint(-5, 5))
-        b = gr(rng.randint(-5, 5), rng.randint(-5, 5))
-        c = gr(rng.randint(-5, 5), rng.randint(-5, 5))
+        a = GaussRational(rng.randint(-5, 5), rng.randint(-5, 5))
+        b = GaussRational(rng.randint(-5, 5), rng.randint(-5, 5))
+        c = GaussRational(rng.randint(-5, 5), rng.randint(-5, 5))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
@@ -57,13 +57,13 @@ def test_field_axioms_random():
         assert a * (b + c) == a * b + a * c
         if not b.is_zero():
             assert (a / b) * b == a
-    assert GR_I * GR_I == gr(-1)
+    assert GR_I * GR_I == GaussRational(-1)
 
 
 def test_conj_and_norm():
-    x = gr(3, -2)
-    assert x.conj() == gr(3, 2)
-    assert x * x.conj() == gr(13)
+    x = GaussRational(3, -2)
+    assert x.conj() == GaussRational(3, 2)
+    assert x * x.conj() == GaussRational(13)
 
 
 def test_division_by_zero():
@@ -72,25 +72,25 @@ def test_division_by_zero():
 
 
 def test_int_fraction_interop():
-    assert 2 * gr(1, 1) == gr(2, 2)
-    assert gr(1, 1) + 1 == gr(2, 1)
-    assert 1 - gr(0, 1) == gr(1, -1)
-    assert gr(4) / 2 == gr(2)
-    assert Fraction(1, 2) * gr(2, 4) == gr(1, 2)
+    assert 2 * GaussRational(1, 1) == GaussRational(2, 2)
+    assert GaussRational(1, 1) + 1 == GaussRational(2, 1)
+    assert 1 - GaussRational(0, 1) == GaussRational(1, -1)
+    assert GaussRational(4) / 2 == GaussRational(2)
+    assert Fraction(1, 2) * GaussRational(2, 4) == GaussRational(1, 2)
 
 
 def test_pow():
-    assert gr(1, 1) ** 2 == gr(0, 2)
-    assert gr(2) ** -1 == gr(Fraction(1, 2))
-    assert gr(5, -3) ** 0 == GR_ONE
+    assert GaussRational(1, 1) ** 2 == GaussRational(0, 2)
+    assert GaussRational(2) ** -1 == GaussRational(Fraction(1, 2))
+    assert GaussRational(5, -3) ** 0 == GR_ONE
 
 
 @pytest.mark.parametrize("value,root", [
-    (gr(4), gr(2)),
-    (gr(Fraction(9, 16)), gr(Fraction(3, 4))),
-    (gr(-4), gr(0, 2)),
-    (gr(0, 2), gr(1, 1)),
-    (gr(-5, 12), gr(2, 3)),
+    (GaussRational(4), GaussRational(2)),
+    (GaussRational(Fraction(9, 16)), GaussRational(Fraction(3, 4))),
+    (GaussRational(-4), GaussRational(0, 2)),
+    (GaussRational(0, 2), GaussRational(1, 1)),
+    (GaussRational(-5, 12), GaussRational(2, 3)),
     (GR_ZERO, GR_ZERO),
 ])
 def test_sqrt_exact(value, root):
@@ -99,17 +99,19 @@ def test_sqrt_exact(value, root):
     assert s in (root, -root)
 
 
-@pytest.mark.parametrize("value", [gr(2), gr(-2), gr(0, 1), gr(1, 1), gr(3, 5)])
+@pytest.mark.parametrize("value", [GaussRational(2), GaussRational(-2), GaussRational(0, 1),
+                                   GaussRational(1, 1), GaussRational(3, 5)])
 def test_sqrt_nonsquare(value):
     assert value.sqrt() is None
 
 
 def test_json_round_trip():
-    for x in (gr(Fraction(3, 7)), gr(0, Fraction(-2, 5)), gr(1, 1), GR_ZERO):
+    for x in (GaussRational(Fraction(3, 7)), GaussRational(0, Fraction(-2, 5)),
+              GaussRational(1, 1), GR_ZERO):
         assert GaussRational.from_json(x.to_json()) == x
-    assert gr(Fraction(3, 7)).to_json() == "3/7"
-    assert gr(1, -1).to_json() == ["1", "-1"]
-    assert GaussRational.from_json(["-3/4", 2]) == gr(Fraction(-3, 4), 2)
+    assert GaussRational(Fraction(3, 7)).to_json() == "3/7"
+    assert GaussRational(1, -1).to_json() == ["1", "-1"]
+    assert GaussRational.from_json(["-3/4", 2]) == GaussRational(Fraction(-3, 4), 2)
     for bad in ({"re": 1}, "1e3", "1.5", " 1/2 ", "1_0", "+1", "1/0", True, 1.5,
                 ["1", "1e3"]):
         with pytest.raises(ValueError):
@@ -137,19 +139,20 @@ def _assert_normalised(re, im, d):
 
 def test_numerator_helpers_round_trip():
     cases = [
-        [gr(Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6), 7, gr(0, Fraction(2, 9)), -3],
+        [GaussRational(Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6), 7,
+         GaussRational(0, Fraction(2, 9)), -3],
         [0, Fraction(0), GR_ZERO],
-        [Fraction(1, 6), gr(Fraction(-1, 6), Fraction(1, 6)), Fraction(-1, 6)],
-        [Fraction(2, 4), gr(Fraction(3, 9)), 10 ** 20],
+        [Fraction(1, 6), GaussRational(Fraction(-1, 6), Fraction(1, 6)), Fraction(-1, 6)],
+        [Fraction(2, 4), GaussRational(Fraction(3, 9)), 10 ** 20],
         [],
     ]
     for vals in cases:
         re, im, d = to_numerators(vals)
         _assert_normalised(re, im, d)
         scalars = from_numerators(re, im, d)
-        assert scalars == [v if isinstance(v, GaussRational) else gr(v) for v in vals]
+        assert scalars == [v if isinstance(v, GaussRational) else GaussRational(v) for v in vals]
         assert to_numerators(scalars) == (re, im, d)
-    assert to_numerators([Fraction(2, 4), gr(Fraction(3, 9))]) == ((3, 2), (0, 0), 6)
+    assert to_numerators([Fraction(2, 4), GaussRational(Fraction(3, 9))]) == ((3, 2), (0, 0), 6)
     assert to_numerators([0, 0]) == ((0, 0), (0, 0), 1)
     # vectors already in the layout join the scalars over the lcm
     assert to_numerators([Fraction(1, 2)], [((1, 0), (0, 1), 3), ((5,), (0,), 10)]) == \
@@ -162,13 +165,13 @@ def test_integer_entries_match_the_scalar_path(monkeypatch):
     rng = random.Random(5)
     ints = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(30)] + [0, -1, 10 ** 40]
     cases = [ints, [0] * 9, [True, False, True], [Fraction(-4, 6), Fraction(3)],
-             [7, Fraction(1, 3), True, -2, gr(1, Fraction(1, 5)), 0], []]
+             [7, Fraction(1, 3), True, -2, GaussRational(1, Fraction(1, 5)), 0], []]
     vectors = [(), [((3, -1), (0, 2), 1)], [((1, 0), (0, 1), 6), ((5,), (-5,), 4)]]
     for vals in cases:
         for vecs in vectors:
             got = to_numerators(vals, vecs)
             _assert_normalised(*got)
-            assert got == to_numerators([gr(v) for v in vals], vecs)
+            assert got == to_numerators([GaussRational(v) for v in vals], vecs)
     assert to_numerators([2, -3], [((1,), (1,), 4)]) == ((8, -12, 1), (0, 0, 1), 4)
     # an all-int vector builds no scalar object at all
     monkeypatch.setattr(gaussrat, "GaussRational", None)
@@ -187,7 +190,7 @@ def test_integer_mat_vec_stays_normalised():
     rng = random.Random(11)
     for _ in range(200):
         n = rng.randint(1, 5)
-        vals = [rng.choice((gr(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+        vals = [rng.choice((GaussRational(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
                                Fraction(rng.randint(-6, 6), rng.randint(1, 6))),
                             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                             rng.randint(-3, 3), 0)) for _ in range(n)]

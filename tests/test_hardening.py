@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from jordanred.algebra import ALG_O, ALG_R, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational
 from jordanred.jordan import JordanMatrix, jordan_mul
 from jordanred.liealg import apply_j0_linear, random_unipotent, so3a_basis
 from jordanred.reductions import (OrbitClass, ReductionLine, available_orbits,
@@ -116,7 +116,7 @@ def test_scaled_representatives(tag):
     """Integer rescalings of the spanning matrices change nothing."""
     for orbit in available_orbits(tag):
         line = representative(tag, orbit)
-        scaled = ReductionLine(line.X.scale(gr(-3)), line.Y.scale(gr(2, 1)))
+        scaled = ReductionLine(line.X.scale(GaussRational(-3)), line.Y.scale(GaussRational(2, 1)))
         assert membership(scaled)
         assert classify_orbit(scaled) == orbit
 
@@ -148,7 +148,7 @@ def test_square_line_points_are_the_pierce_projections(tag):
     rng = make_rng(31)
     g = random_unipotent(tag, rng, factors=2)
     x = apply_j0_linear(tag, g, JordanMatrix.diag(tag, -1, 0, 1))
-    tri = pierce_from_roots(x, (gr(-1), GR_ZERO, GR_ONE))
+    tri = pierce_from_roots(x, (GaussRational(-1), GR_ZERO, GR_ONE))
     q = inner(x, x)
     y = jordan_mul(x, x) - JordanMatrix.identity(tag).scale(q / 3)
     line = ReductionLine(x, y)

@@ -4,7 +4,7 @@ import pytest
 
 from jordanred import jordan
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALL_TAGS, AlgElement, mul_numerators
-from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, gr, to_numerators
+from jordanred.gaussrat import GR_I, GR_ONE, GR_ZERO, GaussRational, to_numerators
 from jordanred.jordan import (JordanMatrix, SeveriClass,
                               cayley_hamilton_residual, char_poly,
                               classify_severi, det, det3, discriminant, inner,
@@ -57,9 +57,9 @@ def test_jordan_identity(tag):
 def test_trace_forms(tag):
     ident = JordanMatrix.identity(tag)
     t, q, qp = trace_forms(ident)
-    assert (t, q) == (gr(3), gr(3))
+    assert (t, q) == (GaussRational(3), GaussRational(3))
     t, q, qp = trace_forms(JordanMatrix.diag(tag, 0, 1, -1))
-    assert (t, q, qp) == (GR_ZERO, gr(2), gr(-1))
+    assert (t, q, qp) == (GR_ZERO, GaussRational(2), GaussRational(-1))
     rng = make_rng()
     for _ in range(20):
         x, y = random_jordan(tag, rng), random_jordan(tag, rng)
@@ -72,7 +72,7 @@ def test_trace_forms(tag):
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_determinant(tag):
     assert det(JordanMatrix.identity(tag)) == GR_ONE
-    assert det(JordanMatrix.diag(tag, 2, -3, 5)) == gr(-30)
+    assert det(JordanMatrix.diag(tag, 2, -3, 5)) == GaussRational(-30)
     assert det(z_rep(tag)) == GR_ZERO
     rng = make_rng()
     for _ in range(10):
@@ -92,7 +92,7 @@ def test_cayley_hamilton(tag):
         x = random_jordan(tag, rng)
         assert cayley_hamilton_residual(x).is_zero()
     x = JordanMatrix.diag(tag, 0, 1, -1)
-    assert char_poly(x) == (GR_ONE, GR_ZERO, gr(-1), GR_ZERO)
+    assert char_poly(x) == (GR_ONE, GR_ZERO, GaussRational(-1), GR_ZERO)
     # traceless characteristic polynomial is t^3 - (Q/2) t - det
     y = random_traceless(tag, rng)
     one, mt, qp, md = char_poly(y)
@@ -110,7 +110,7 @@ def test_classify_severi(tag):
 
     y = JordanMatrix.diag(tag, 1, 1, -2)
     cls, s = classify_severi(y)
-    assert cls == SeveriClass.PROJECTED_RANK_ONE and s == gr(-1)
+    assert cls == SeveriClass.PROJECTED_RANK_ONE and s == GaussRational(-1)
     lift, _ = rank_one_lift(y)
     assert lift == JordanMatrix.diag(tag, 0, 0, -3)
     _, q, _ = trace_forms(y)
@@ -140,7 +140,7 @@ def test_rank_one_chart(tag):
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_discriminant(tag):
-    assert discriminant(JordanMatrix.diag(tag, 0, 1, -1)) == gr(8)
+    assert discriminant(JordanMatrix.diag(tag, 0, 1, -1)) == GaussRational(8)
     rng = make_rng()
     from jordanred.sampling import random_square_zero
 

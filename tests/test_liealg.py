@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement
-from jordanred.gaussrat import GR_ZERO, gr, mat_vec, normalize
+from jordanred.gaussrat import GR_ZERO, GaussRational, mat_vec, normalize
 from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               bform_inverse, bracket_in_span, bracket_matrix,
@@ -33,8 +33,8 @@ def test_traceless_numerators_project_along_the_identity(tag):
     rng = make_rng(70 + ALL_TAGS.index(tag))
     ident = JordanMatrix.identity(tag)
     for _ in range(10):
-        Z = random_jordan(tag, rng).scale(gr(Fraction(2, 3), Fraction(1, 5)))
-        Z = Z + ident.scale(gr(Fraction(1, 7), 2))
+        Z = random_jordan(tag, rng).scale(GaussRational(Fraction(2, 3), Fraction(1, 5)))
+        Z = Z + ident.scale(GaussRational(Fraction(1, 7), 2))
         assert Z.d > 1 and Z.trace().im != 0
         want = j0_numerators(Z - ident.scale(Z.trace() / 3))
         assert normalize(*traceless_numerators(Z)) == want
@@ -150,7 +150,7 @@ def test_action_formulas_on_diagonals(tag):
     op = So3AOperator(tag, a1=a1)
     out = op.apply(JordanMatrix.diag(tag, 5, 3, 2))
     assert out.c == (GR_ZERO, GR_ZERO, GR_ZERO)
-    assert out.x[0] == a1.scale(gr(1)) and out.x[1].is_zero() and out.x[2].is_zero()
+    assert out.x[0] == a1.scale(GaussRational(1)) and out.x[1].is_zero() and out.x[2].is_zero()
     for triple in triality_basis(tag):
         top = So3AOperator(tag, tmats=triple)
         assert top.apply(JordanMatrix.diag(tag, 5, 3, 2)).is_zero()
@@ -194,7 +194,7 @@ def test_stabilizer_dims_square_zero_point():
     for tag in ALL_TAGS:
         z = AlgElement.zero(tag)
         zrep = JordanMatrix(tag, (1, -1, 0),
-                            (z, z, AlgElement.scalar(tag, gr(0, 1))))
+                            (z, z, AlgElement.scalar(tag, GaussRational(0, 1))))
         _, orb, perp = stabilizer_dims(zrep)
         assert perp == tag.dim + 2
 
@@ -241,7 +241,7 @@ def _combine(*terms):
 def lr_triality_triple(u, v):
     """(L_u + R_u + L_v, L_u + L_v + R_v, R_u - L_v): for imaginary u, v a
     triality triple in any alternative algebra."""
-    if not (u.re().is_zero() and v.re().is_zero()):
+    if not (u.coords[0].is_zero() and v.coords[0].is_zero()):
         raise ValueError("arguments must be imaginary")
     (lu, ru), (lv, rv) = mult_matrices(u), mult_matrices(v)
     return (_combine((1, lu), (1, ru), (1, lv)), _combine((1, lu), (1, lv), (1, rv)),
@@ -323,18 +323,18 @@ def test_j0_coordinates(tag):
     g = j0_gram(tag)
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            assert inner(bi, bj) == gr(g[i][j])
+            assert inner(bi, bj) == GaussRational(g[i][j])
 
 
 def test_lr_triple_rejects_non_integral_multiplication_matrices():
     """A fractional or imaginary coordinate is not dropped from u."""
     e1, e2 = AlgElement.basis(ALG_H, 1), AlgElement.basis(ALG_H, 2)
-    for u in (e1.scale(Fraction(1, 2)), e1.scale(gr(0, 1))):
+    for u in (e1.scale(Fraction(1, 2)), e1.scale(GaussRational(0, 1))):
         with pytest.raises(ValueError):
             lr_triality_triple(u, e2)
         with pytest.raises(ValueError):
             standard_derivation(u, e2)
-    assert left_mult_matrix(e1.scale(gr(0, 1)))[1][0] == gr(0, 1)
+    assert left_mult_matrix(e1.scale(GaussRational(0, 1)))[1][0] == GaussRational(0, 1)
     doubled = lr_triality_triple(e1.scale(2), e2)
     assert triality_identity_holds(ALG_H, doubled)
     assert doubled != lr_triality_triple(AlgElement.zero(ALG_H), e2)

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, gr, to_numerators
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational, to_numerators
 from jordanred.linalg import RowSpan, invert, nullspace, rank
 from test_flat_kernels import as_triple, mat_mul, ref_rank, ref_rref, vector_view, view
 
@@ -39,7 +39,7 @@ def random_matrix(rng, n, m, kind):
     if kind == "fraction":
         return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
                 for _ in range(n)]
-    return [[gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m)]
+    return [[GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(m)]
             for _ in range(n)]
 
 
@@ -104,11 +104,12 @@ def test_nullspace_is_kernel():
 
 
 def test_nullspace_gauss_rational():
-    a = [[gr(1), gr(0, 1), gr(0)], [gr(0), gr(0), gr(0)]]
+    a = [[GaussRational(1), GaussRational(0, 1), GaussRational(0)],
+         [GaussRational(0), GaussRational(0), GaussRational(0)]]
     basis = nullspace(numerator_rows(a), 3)
     assert len(basis) == 2
     for v in map(vector_view, basis):
-        assert (v[0] + gr(0, 1) * v[1]).is_zero()
+        assert (v[0] + GaussRational(0, 1) * v[1]).is_zero()
 
 
 def test_invert_round_trip():
@@ -119,7 +120,7 @@ def test_invert_round_trip():
             n = rng.randint(1, 5)
             # the integer matrix of row numerators, and its inverse
             rows = numerator_rows(random_matrix(rng, n, n, kind))
-            a = [[gr(x, y) for x, y in zip(re, im)] for re, im in rows]
+            a = [[GaussRational(x, y) for x, y in zip(re, im)] for re, im in rows]
             if rank(rows) < n:
                 try:
                     invert(rows)
@@ -187,8 +188,8 @@ def tall_scalar(rng, height):
     """A Q(i) scalar with numerators up to height over a denominator up to 60 (or 1)."""
     d = rng.choice((1, 1, rng.randint(2, 60)))
     if rng.random() < 0.2:
-        return gr(0)
-    return gr(Fraction(rng.randint(-height, height), d),
+        return GaussRational(0)
+    return GaussRational(Fraction(rng.randint(-height, height), d),
               Fraction(rng.randint(-height, height), d) if rng.random() < 0.7 else 0)
 
 
@@ -202,10 +203,10 @@ def tall_matrix(rng, n, m):
     else:
         left = [[tall_scalar(rng, 99) for _ in range(k)] for _ in range(n)]
         right = [[tall_scalar(rng, height) for _ in range(m)] for _ in range(k)]
-        rows = mat_mul(left, right) if k else [[gr(0)] * m for _ in range(n)]
+        rows = mat_mul(left, right) if k else [[GaussRational(0)] * m for _ in range(n)]
     if rng.random() < 0.25:
         i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
-        rows.insert(rng.randrange(len(rows) + 1), [gr(0)] * m)
+        rows.insert(rng.randrange(len(rows) + 1), [GaussRational(0)] * m)
         rows.append([a - b for a, b in zip(rows[i], rows[j])])
         rows.append([-a for a in rows[i]])
     return rows

@@ -69,6 +69,31 @@ def test_no_floating_point_in_the_package():
     assert not found, found
 
 
+def test_campaigns_draw_before_they_check():
+    """cli.py draws a campaign's samples into a list before it checks them:
+    no sampler call and no rng method call sits in a generator expression or
+    in the body of a `for ... in range(...)` loop, where a failing check
+    could skip the draws after it."""
+    samplers = {node.name for node in ast.parse((SRC / "sampling.py").read_text()).body
+                if isinstance(node, ast.FunctionDef)}
+
+    def draws(node):
+        return [sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.Call) and (
+            isinstance(sub.func, ast.Name) and sub.func.id in samplers
+            or isinstance(sub.func, ast.Attribute) and isinstance(sub.func.value, ast.Name)
+            and sub.func.value.id == "rng")]
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.GeneratorExp):
+            found.extend(draws(node))
+        elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+              and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range"):
+            found.extend(line for stmt in node.body for line in draws(stmt))
+    assert "random_element" in samplers and len(draws(tree)) > 10
+    assert not found, sorted(set(found))
+
+
 def _identifiers(node):
     """The names a syntax tree refers to: Name ids, attribute names and imported names."""
     return Counter(sub.id if isinstance(sub, ast.Name) else

@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from jordanred.gaussrat import GR_ONE, GR_ZERO, gr
+from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational
 from jordanred.polyq import PolyQi, poly_gcd, rational_roots_of_int_poly, roots_qi
 
 
@@ -18,20 +18,20 @@ def linear(root):
 
 def test_arithmetic_and_division():
     f = P(1, 2, 1)          # (t+1)^2
-    g = linear(gr(-1))
+    g = linear(GaussRational(-1))
     q, r = f.divmod(g)
     assert r.is_zero() and q == P(1, 1)
     assert (q * g) == f
     assert f.derivative() == P(2, 2)
-    assert f(gr(-1)).is_zero() and f(gr(1)) == gr(4)
+    assert f(GaussRational(-1)).is_zero() and f(GaussRational(1)) == GaussRational(4)
 
 
 def test_gcd():
-    f = linear(gr(2)) * linear(gr(0, 1)) * linear(gr(-3))
-    g = linear(gr(2)) * linear(gr(0, 1)) * linear(gr(5))
+    f = linear(GaussRational(2)) * linear(GaussRational(0, 1)) * linear(GaussRational(-3))
+    g = linear(GaussRational(2)) * linear(GaussRational(0, 1)) * linear(GaussRational(5))
     h = poly_gcd(f, g)
     assert h.degree == 2
-    assert h(gr(2)).is_zero() and h(gr(0, 1)).is_zero()
+    assert h(GaussRational(2)).is_zero() and h(GaussRational(0, 1)).is_zero()
 
 
 def test_roots_rational_cubic():
@@ -42,13 +42,13 @@ def test_roots_rational_cubic():
 
 def test_roots_gaussian():
     roots, left = roots_qi(P(-2, 1, -2, 1))  # (t^2+1)(t-2)
-    assert not left and gr(0, 1) in roots and gr(0, -1) in roots
-    roots, left = roots_qi(P(gr(0, -2), gr(0), gr(1)))  # t^2 - 2i
-    assert not left and gr(1, 1) in roots and gr(-1, -1) in roots
+    assert not left and GaussRational(0, 1) in roots and GaussRational(0, -1) in roots
+    roots, left = roots_qi(P(GaussRational(0, -2), GaussRational(0), GaussRational(1)))  # t^2 - 2i
+    assert not left and GaussRational(1, 1) in roots and GaussRational(-1, -1) in roots
 
 
 def test_roots_complex_cubic_all_rational():
-    f = linear(gr(0, 1)) * linear(gr(1, 1)) * linear(gr(3))
+    f = linear(GaussRational(0, 1)) * linear(GaussRational(1, 1)) * linear(GaussRational(3))
     roots, left = roots_qi(f)
     assert not left
     assert {(r.re, r.im) for r in roots} == {(0, 1), (1, 1), (3, 0)}
@@ -56,18 +56,18 @@ def test_roots_complex_cubic_all_rational():
 
 def test_roots_complex_cubic_mixed():
     # one Q(i) root, one quadratic factor irreducible over Q(i)
-    f = P(-1, -1, 1) * linear(gr(1, 1))
+    f = P(-1, -1, 1) * linear(GaussRational(1, 1))
     roots, left = roots_qi(f)
-    assert roots == [gr(1, 1)]
+    assert roots == [GaussRational(1, 1)]
     assert len(left) == 1 and left[0].degree == 2
 
 
 def test_roots_complex_cubic_nonreal_root_via_norm():
     # properly complex coefficients, non-real Gaussian root found through
     # the quadratic-factor enumeration of the norm polynomial
-    f = linear(gr(2, 3)) * P(gr(1), gr(0, 1), gr(1))
+    f = linear(GaussRational(2, 3)) * P(GaussRational(1), GaussRational(0, 1), GaussRational(1))
     roots, left = roots_qi(f)
-    assert gr(2, 3) in roots
+    assert GaussRational(2, 3) in roots
 
 
 @pytest.mark.parametrize("poly", [P(-2, 0, 0, 1), P(-2, 0, 1), P(2, 0, 1)])
@@ -136,10 +136,10 @@ def ref_eval(a, t):
 
 def _scalar(rng, kind):
     if kind == "small":
-        return gr(rng.randint(-2, 2), rng.randint(-2, 2))
+        return GaussRational(rng.randint(-2, 2), rng.randint(-2, 2))
     if kind == "tall":
-        return gr(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
-    return gr(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        return GaussRational(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 6, 10 ** 6))
+    return GaussRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
               Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
 
 
@@ -275,15 +275,18 @@ def lin(r, q=1):
 
 
 @pytest.mark.parametrize("f, roots, leftovers", [
-    (lin(gr(Fraction(3, 2)), 2) * P(1, 1, 1), [gr(Fraction(3, 2))], [P(1, 1, 1)]),
-    (lin(gr(Fraction(-5, 2)), 2) * P(-2, 0, 1), [gr(Fraction(-5, 2))], [P(-2, 0, 1)]),
-    (lin(gr(-7)) * P(3, 0, 1), [gr(-7)], [P(3, 0, 1)]),
-    (lin(gr(Fraction(35, 6)), 6) * P(-6, 0, 1), [gr(Fraction(35, 6))], [P(-6, 0, 1)]),
+    (lin(GaussRational(Fraction(3, 2)), 2) * P(1, 1, 1),
+     [GaussRational(Fraction(3, 2))], [P(1, 1, 1)]),
+    (lin(GaussRational(Fraction(-5, 2)), 2) * P(-2, 0, 1),
+     [GaussRational(Fraction(-5, 2))], [P(-2, 0, 1)]),
+    (lin(GaussRational(-7)) * P(3, 0, 1), [GaussRational(-7)], [P(3, 0, 1)]),
+    (lin(GaussRational(Fraction(35, 6)), 6) * P(-6, 0, 1),
+     [GaussRational(Fraction(35, 6))], [P(-6, 0, 1)]),
     # t^2 + 4 is irreducible over Q but splits over Q(i)
-    (lin(gr(Fraction(1, 3)), -3) * P(4, 0, 1),
-     [gr(Fraction(1, 3)), gr(0, 2), gr(0, -2)], []),
-    (lin(gr(Fraction(-720, 7)), 7) * P(5040, -2520, 360),
-     [gr(Fraction(-720, 7))], [P(14, -7, 1)]),
+    (lin(GaussRational(Fraction(1, 3)), -3) * P(4, 0, 1),
+     [GaussRational(Fraction(1, 3)), GaussRational(0, 2), GaussRational(0, -2)], []),
+    (lin(GaussRational(Fraction(-720, 7)), 7) * P(5040, -2520, 360),
+     [GaussRational(Fraction(-720, 7))], [P(14, -7, 1)]),
 ], ids=["3/2", "-5/2", "-7", "35/6", "1/3-splits", "-720/7"])
 def test_real_cubic_with_one_rational_root(f, roots, leftovers):
     assert not any(c.ni for c in f.coeffs)
@@ -291,16 +294,21 @@ def test_real_cubic_with_one_rational_root(f, roots, leftovers):
 
 
 @pytest.mark.parametrize("f, roots, leftovers", [
-    (lin(gr(2)) * P(1, gr(0, 1), 1), [gr(2)], [P(1, gr(0, 1), 1)]),
-    (lin(gr(Fraction(-1, 3)), 3) * lin(gr(0, 1)) * lin(gr(2, 1)),
-     [gr(Fraction(-1, 3)), gr(2, 1), gr(0, 1)], []),
-    (lin(gr(Fraction(5, 7)), 7) * P(gr(0, 3), gr(1, 1), 1),
-     [gr(Fraction(5, 7))], [P(gr(0, 3), gr(1, 1), 1)]),
-    (lin(gr(Fraction(-12, 5)), 5) * P(gr(2, -1), gr(0, 2), gr(3)),
-     [gr(Fraction(-12, 5))], [P(gr(Fraction(2, 3), Fraction(-1, 3)), gr(0, Fraction(2, 3)), 1)]),
-    (lin(gr(60)) * P(gr(1, 360), gr(0, -1), gr(0, 1)), [gr(60)], [P(gr(360, -1), -1, 1)]),
-    (lin(gr(Fraction(1, 2)), 2) * lin(gr(Fraction(1, 2))) * lin(gr(3, -4)),
-     [gr(Fraction(1, 2)), gr(3, -4), gr(Fraction(1, 2))], []),
+    (lin(GaussRational(2)) * P(1, GaussRational(0, 1), 1),
+     [GaussRational(2)], [P(1, GaussRational(0, 1), 1)]),
+    (lin(GaussRational(Fraction(-1, 3)), 3) * lin(GaussRational(0, 1)) * lin(GaussRational(2, 1)),
+     [GaussRational(Fraction(-1, 3)), GaussRational(2, 1), GaussRational(0, 1)], []),
+    (lin(GaussRational(Fraction(5, 7)), 7) * P(GaussRational(0, 3), GaussRational(1, 1), 1),
+     [GaussRational(Fraction(5, 7))], [P(GaussRational(0, 3), GaussRational(1, 1), 1)]),
+    (lin(GaussRational(Fraction(-12, 5)), 5)
+     * P(GaussRational(2, -1), GaussRational(0, 2), GaussRational(3)),
+     [GaussRational(Fraction(-12, 5))],
+     [P(GaussRational(Fraction(2, 3), Fraction(-1, 3)), GaussRational(0, Fraction(2, 3)), 1)]),
+    (lin(GaussRational(60)) * P(GaussRational(1, 360), GaussRational(0, -1), GaussRational(0, 1)),
+     [GaussRational(60)], [P(GaussRational(360, -1), -1, 1)]),
+    (lin(GaussRational(Fraction(1, 2)), 2) * lin(GaussRational(Fraction(1, 2)))
+     * lin(GaussRational(3, -4)),
+     [GaussRational(Fraction(1, 2)), GaussRational(3, -4), GaussRational(Fraction(1, 2))], []),
 ], ids=["2", "-1/3", "5/7", "-12/5", "60", "1/2-double"])
 def test_complex_cubic_with_a_rational_root(f, roots, leftovers):
     assert any(c.ni for c in f.coeffs)
@@ -387,17 +395,22 @@ def _assert_complete(f, roots, leftovers):
 
 
 @pytest.mark.parametrize("f, planted", [
-    (linear(gr(10 ** 20 + 7, -(10 ** 19 + 1))) * P(gr(10 ** 30, 3), gr(2, 10 ** 25), 1),
-     [gr(10 ** 20 + 7, -(10 ** 19 + 1))]),
-    (linear(gr(Fraction(3, 7), Fraction(5, 11))) * linear(gr(Fraction(-2, 9), Fraction(1, 4)))
-     * linear(gr(Fraction(3, 7), Fraction(-5, 11))),
-     [gr(Fraction(3, 7), Fraction(5, 11)), gr(Fraction(-2, 9), Fraction(1, 4)),
-      gr(Fraction(3, 7), Fraction(-5, 11))]),
-    (linear(gr(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)))
-     * linear(gr(-(10 ** 15), 10 ** 21 + 9)) * P(gr(0, 10 ** 20), 1),
-     [gr(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)), gr(-(10 ** 15), 10 ** 21 + 9)]),
-    (linear(gr(5, 10 ** 30)) * linear(gr(5, 10 ** 30)) * linear(gr(-5, 10 ** 30)),
-     [gr(5, 10 ** 30), gr(-5, 10 ** 30)]),
+    (linear(GaussRational(10 ** 20 + 7, -(10 ** 19 + 1)))
+     * P(GaussRational(10 ** 30, 3), GaussRational(2, 10 ** 25), 1),
+     [GaussRational(10 ** 20 + 7, -(10 ** 19 + 1))]),
+    (linear(GaussRational(Fraction(3, 7), Fraction(5, 11)))
+     * linear(GaussRational(Fraction(-2, 9), Fraction(1, 4)))
+     * linear(GaussRational(Fraction(3, 7), Fraction(-5, 11))),
+     [GaussRational(Fraction(3, 7), Fraction(5, 11)),
+      GaussRational(Fraction(-2, 9), Fraction(1, 4)),
+      GaussRational(Fraction(3, 7), Fraction(-5, 11))]),
+    (linear(GaussRational(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)))
+     * linear(GaussRational(-(10 ** 15), 10 ** 21 + 9)) * P(GaussRational(0, 10 ** 20), 1),
+     [GaussRational(Fraction(10 ** 20 + 1, 3), Fraction(-(10 ** 18), 7)),
+      GaussRational(-(10 ** 15), 10 ** 21 + 9)]),
+    (linear(GaussRational(5, 10 ** 30)) * linear(GaussRational(5, 10 ** 30))
+     * linear(GaussRational(-5, 10 ** 30)),
+     [GaussRational(5, 10 ** 30), GaussRational(-5, 10 ** 30)]),
 ], ids=["issue-tall", "three-nonreal", "tall-denominators", "double-tall"])
 def test_complex_cubics_with_planted_gaussian_roots(f, planted):
     assert any(c.ni for c in f.coeffs)
@@ -411,10 +424,10 @@ def test_random_complex_cubics_are_split_completely(seed):
     rng = random.Random("complex/%d" % seed)
     for _ in range(30):
         h = rng.choice((3, 10 ** 6, 10 ** 20))
-        r = gr(Fraction(rng.randint(-h, h), rng.randint(1, 9)),
+        r = GaussRational(Fraction(rng.randint(-h, h), rng.randint(1, 9)),
                Fraction(rng.randint(-h, h), rng.randint(1, 9)))
-        cofactor = P(gr(rng.randint(-h, h), rng.randint(-h, h)),
-                     gr(rng.randint(-h, h), rng.randint(-h, h)), 1)
+        cofactor = P(GaussRational(rng.randint(-h, h), rng.randint(-h, h)),
+                     GaussRational(rng.randint(-h, h), rng.randint(-h, h)), 1)
         f = linear(r) * cofactor
         roots, leftovers = roots_qi(f)
         assert r in roots

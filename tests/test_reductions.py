@@ -5,7 +5,7 @@ import pytest
 
 from jordanred import liealg, reductions
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement, qbilin
-from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators, gr,
+from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 mat_mat, to_numerators)
 from jordanred.jordan import (JordanMatrix, SeveriClass, classify_severi, discriminant,
                               inner, jordan_mul, sigma1, sigma2)
@@ -193,7 +193,7 @@ def test_projection_equivariance(tag):
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_pierce_from_roots_diagonal(tag):
     x = JordanMatrix.diag(tag, -1, 0, 1)
-    tri = pierce_from_roots(x, (gr(-1), GR_ZERO, GR_ONE))
+    tri = pierce_from_roots(x, (GaussRational(-1), GR_ZERO, GR_ONE))
     assert tri.validate()
     assert tri.e1 == JordanMatrix.diag(tag, 1, 0, 0)
     assert tri.e2 == JordanMatrix.diag(tag, 0, 1, 0)
@@ -206,25 +206,25 @@ def test_pierce_from_roots_random_conjugates(tag):
     for _ in range(3):
         g = random_unipotent(tag, rng, factors=2)
         x = apply_j0_linear(tag, g, JordanMatrix.diag(tag, -1, 0, 1))
-        tri = pierce_from_roots(x, (gr(-1), GR_ZERO, GR_ONE))
+        tri = pierce_from_roots(x, (GaussRational(-1), GR_ZERO, GR_ONE))
         assert tri.validate()
-        recon = tri.e1.scale(gr(-1)) + tri.e3
+        recon = tri.e1.scale(GaussRational(-1)) + tri.e3
         assert recon == x
 
 
 def test_pierce_from_roots_rejects_bad_roots():
     x = JordanMatrix.diag(ALG_C, -1, 0, 1)
     with pytest.raises(ValueError):
-        pierce_from_roots(x, (gr(-1), gr(-1), GR_ONE))
+        pierce_from_roots(x, (GaussRational(-1), GaussRational(-1), GR_ONE))
     with pytest.raises(ValueError):
-        pierce_from_roots(x, (gr(-2), GR_ZERO, GR_ONE))
+        pierce_from_roots(x, (GaussRational(-2), GR_ZERO, GR_ONE))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_omega_plucker(tag):
     # diagonal triple: the wedge of the two independent traceless diagonals
     tri = pierce_from_roots(JordanMatrix.diag(tag, -1, 0, 1),
-                            (gr(-1), GR_ZERO, GR_ONE))
+                            (GaussRational(-1), GR_ZERO, GR_ONE))
     omega = vector_view(omega_plucker(tri))
     assert omega == ref_omega(tri)
     assert any(not v.is_zero() for v in omega)
@@ -493,7 +493,8 @@ def test_severi_points_irrational_triple():
     tag = ALG_R
     e = AlgElement.one(tag)
     x = JordanMatrix(tag, (0, 0, 0),
-                     (e.scale(gr(3)), e.scale(gr(4)), e.scale(gr(0, 5))))
+                     (e.scale(GaussRational(3)), e.scale(GaussRational(4)),
+                      e.scale(GaussRational(0, 5))))
     line = square_line(x)
     assert membership(line)
     assert classify_orbit(line) == OrbitClass.OPEN0
@@ -570,7 +571,7 @@ def test_tangent_dimension_open_orbit_a2():
 def diag_theta(tag):
     """The wedge of the first two projected diagonal idempotents."""
     tri = pierce_from_roots(JordanMatrix.diag(tag, -1, 0, 1),
-                            (gr(-1), GR_ZERO, GR_ONE))
+                            (GaussRational(-1), GR_ZERO, GR_ONE))
     return to_numerators([v / 3 for v in vector_view(omega_plucker(tri))])
 
 
@@ -608,14 +609,14 @@ def test_cubic_tangent_value(tag):
     for _ in range(8):
         u = random_element(tag, rng)
         v = random_element(tag, rng)
-        u0 = u.re()
+        u0 = u.coords[0]
         x = JordanMatrix(tag, (-GR_I * u0, GR_I * u0, GR_ZERO),
                          (v.scale(GR_I), v.conj(), u))
         im_u = u - AlgElement.scalar(tag, u0)
-        expected = -(gr(2) / 3) * GR_I * u0 * qbilin(im_u, im_u)
+        expected = -(GaussRational(2) / 3) * GR_I * u0 * qbilin(im_u, im_u)
         assert eval_cubic_theta(tag, theta, x) == expected
         # linear in theta and cubic in x, over other denominators
-        lam = gr(1, 2) / 3
+        lam = GaussRational(1, 2) / 3
         theta_5 = to_numerators([v / 5 for v in vector_view(theta)])
         assert eval_cubic_theta(tag, theta_5, x.scale(lam)) == \
             expected * lam ** 3 / 5
@@ -665,7 +666,7 @@ def test_z_representative_shape():
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_line_rejects_proportional_pairs_over_different_denominators(tag):
-    lam = gr(Fraction(1, 3), Fraction(2, 3))
+    lam = GaussRational(Fraction(1, 3), Fraction(2, 3))
     for orbit in available_orbits(tag):
         rep = representative(tag, orbit)
         X = rep.X.scale(Fraction(1, 5)) + rep.Y
