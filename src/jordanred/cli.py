@@ -238,14 +238,9 @@ def build_verify_jordan(algebra: Optional[str], seed: int) -> Report:
                      % tag, all(_matches_cubic_discriminant(X) for X in traceless),
                      "derived")
         # nondegeneracy of the trace form on all of J3(A)
-        basis = [JordanMatrix.diag(tag, 1, 0, 0), JordanMatrix.diag(tag, 0, 1, 0),
-                 JordanMatrix.diag(tag, 0, 0, 1)]
-        zero = AlgElement.zero(tag)
-        for slot in range(3):
-            for k in range(tag.dim):
-                xs = [zero] * 3
-                xs[slot] = AlgElement.basis(tag, k)
-                basis.append(JordanMatrix(tag, (0, 0, 0), tuple(xs)))
+        n = 3 * tag.dim + 3
+        basis = [JordanMatrix._raw(tag, tuple(int(j == k) for j in range(n)), (0,) * n, 1)
+                 for k in range(n)]
         gram = [[inner(a, b) for b in basis] for a in basis]
         rep.add("%s: trace form is nondegenerate on J3(A)" % tag,
                 3 * tag.dim + 3, rank(to_numerators(row)[:2] for row in gram), "derived")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -48,17 +48,6 @@ def _parse_rational(obj):
     if q == 0:
         raise ValueError("zero denominator in %r" % obj)
     return int(p), q
-
-
-def _fraction_sqrt(x: Fraction):
-    """Exact square root of a rational, or None if it is not a square."""
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        return None
-    return Fraction(rp, rq)
 
 
 class GaussRational:
@@ -216,31 +205,6 @@ class GaussRational:
         if self.ni == 0:
             return hash(Fraction(self.nr, self.d))
         return hash((self.nr, self.ni, self.d))
-
-    # -- square roots ----------------------------------------------------
-
-    def sqrt(self):
-        """An exact square root in Q(i), or None if none exists."""
-        if self.is_zero():
-            return GR_ZERO
-        if self.ni == 0:
-            r = _fraction_sqrt(self.re)
-            if r is not None:
-                return GaussRational(r)
-            r = _fraction_sqrt(-self.re)
-            if r is not None:
-                return GaussRational(0, r)
-            return None
-        # (x + yi)^2 = re + im*i  =>  x^2 - y^2 = re, 2xy = im
-        s = _fraction_sqrt(self.re * self.re + self.im * self.im)
-        if s is None:
-            return None
-        x = _fraction_sqrt((self.re + s) / 2)
-        if x is None or x == 0:
-            return None
-        y = self.im / (2 * x)
-        cand = GaussRational(x, y)
-        return cand if cand * cand == self else None
 
     # -- formatting / JSON ------------------------------------------------
 

@@ -45,14 +45,10 @@ def j0_dim(tag: AlgebraTag) -> int:
 
 @lru_cache(maxsize=None)
 def j0_basis(tag: AlgebraTag):
-    basis = [JordanMatrix.diag(tag, 1, -1, 0), JordanMatrix.diag(tag, 0, 1, -1)]
-    zero = AlgElement.zero(tag)
-    for slot in range(3):
-        for k in range(tag.dim):
-            x = [zero, zero, zero]
-            x[slot] = AlgElement.basis(tag, k)
-            basis.append(JordanMatrix(tag, (0, 0, 0), tuple(x)))
-    return tuple(basis)
+    """The matrices with unit J0 coordinates: diag(1, -1, 0), diag(0, 1, -1), then the slots."""
+    n = j0_dim(tag)
+    return tuple(j0_from_numerators(tag, tuple(int(j == k) for j in range(n)), (0,) * n, 1)
+                 for k in range(n))
 
 
 def j0_numerators(X: JordanMatrix):

@@ -1,8 +1,9 @@
 """Univariate polynomials over Q(i), with exact root extraction in degree <= 3.
 
 Used to intersect pencils of Jordan matrices with the projected rank-one
-locus.  Roots living in Q(i) are always found; factors that are irreducible
-over Q(i) are returned as such (their roots are counted, not constructed).
+locus.  Roots living in Q(i) are always found; the factor left without them
+is irreducible over Q(i) and returned as such (its roots are counted, not
+constructed).
 
 A polynomial is one normalised numerator triple of `gaussrat`: the ascending
 coefficients are (nr[k] + ni[k] i)/d.  Arithmetic runs on the integer
@@ -12,9 +13,11 @@ Roots are found without factoring an integer.  The rational roots of an
 integer polynomial with leading coefficient a are s/a for the integer roots s
 of a monic integer polynomial, and those are bracketed by exact integer
 bisection on the runs where it is monotone, between the unit cells that hold
-the real roots of its derivatives.  A cubic root s + vi in Q(i) has v = 0, or
-v a rational root of a real degree-9 polynomial built from power sums; s is
-then a rational root of the gcd of the real and imaginary parts of f(s + vi).
+the real roots of its derivatives.  The roots s + vi in Q(i) with imaginary
+part v are given by the rational roots s of the gcd of the real and imaginary
+parts of f(s + vi).  One such search at v = 0 yields every real root; the
+nonzero v of the other roots are among the rational roots of a real
+polynomial of degree n^2 built from power sums, n the degree of what is left.
 """
 
 from __future__ import annotations
@@ -240,58 +243,48 @@ def _sign_at(g, x: int) -> int:
 
 
 def roots_qi(f: PolyQi):
-    """All Q(i)-roots of f (degree <= 3 handled completely).
+    """The distinct Q(i)-roots of f (degree <= 3 after taking its squarefree part).
 
-    Returns (roots, leftover_irreducible_factors); each leftover factor is
-    irreducible over Q(i), so its degree counts conjugate roots living in a
-    proper extension.
+    Returns (roots, leftovers): the real roots ascending, then the non-real
+    ones by imaginary part and then real part, and [] or [q] with q the monic
+    factor of degree 2 or 3 that is left, which has no root in Q(i), so its
+    degree counts conjugate roots living in a proper extension.  The roots
+    with imaginary part v are the s + vi for the rational roots s of one
+    gcd (see `_roots_with_imaginary_part`); v = 0 comes first, and the
+    nonzero v are searched only for a rest that can still have a root.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no root list")
+    f, _ = f.divmod(poly_gcd(f, f.derivative()))
+    if f.degree > 3:
+        raise NotImplementedError("root extraction implemented for degree <= 3")
     f = f.monic()
-    roots = []
-    leftovers = []
-    while f.degree > 0:
-        if f.degree > 3:
-            raise NotImplementedError("root extraction implemented for degree <= 3")
-        r = _find_one_root(f)
-        if r is None:
-            leftovers.append(f)
-            break
-        roots.append(r)
+    roots = _roots_with_imaginary_part(f, 0)
+    rest = _divide_out(f, roots)
+    # A real rest of odd degree has no root in Q(i): its non-real roots pair
+    # with their conjugates, which would leave a rational one.
+    if any(rest.ni) or rest.degree == 2:
+        found = [r for v in _imaginary_parts(rest) if v
+                 for r in _roots_with_imaginary_part(rest, v)]
+        rest = _divide_out(rest, found)
+        roots += found
+    return roots, [rest] if rest.degree > 0 else []
+
+
+def _divide_out(f: PolyQi, roots) -> PolyQi:
+    """f divided by t - r for each r in roots, each division exact."""
+    for r in roots:
         f, rem = f.divmod(PolyQi([-r, GR_ONE]))
         if not rem.is_zero():
             raise ArithmeticError("a root found does not divide the polynomial")
-    return roots, leftovers
+    return f
 
 
-def _find_one_root(f: PolyQi):
-    if not (f.nr[0] or f.ni[0]):
-        return GR_ZERO
-    if f.degree == 1:
-        return -f.coeffs[0] / f.coeffs[1]
-    if f.degree == 2:
-        c, b, a = f.coeffs
-        s = (b * b - 4 * a * c).sqrt()
-        return None if s is None else (-b + s) / (2 * a)
-    # degree 3: a root s + vi has s and v rational; v = 0 first
-    r = _root_with_imaginary_part(f, 0)
-    if r is not None or not any(f.ni):
-        # real coefficients with no rational root: any Q(i) root r would force
-        # conj(r) to be a root too, leaving a rational third root. None exists.
-        return r
-    for v in _imaginary_parts(f):
-        r = _root_with_imaginary_part(f, v) if v else None
-        if r is not None:
-            return r
-    return None
-
-
-def _root_with_imaginary_part(f: PolyQi, v):
-    """A root s + vi of f with s rational, or None.
+def _roots_with_imaginary_part(f: PolyQi, v):
+    """The roots s + vi of f with s rational, by s ascending.
 
     s is a rational root of f(s + vi), so of the gcd of its real and
-    imaginary parts; the smallest one is returned.
+    imaginary parts.
     """
     if v:
         shift, g = PolyQi([GaussRational(0, v), GR_ONE]), PolyQi(())
@@ -299,13 +292,13 @@ def _root_with_imaginary_part(f: PolyQi, v):
             g = g * shift + PolyQi([c])
         f = g
     g = poly_gcd(PolyQi(f.nr), PolyQi(f.ni))
-    roots = rational_roots_of_int_poly(g.nr)
-    return GaussRational(roots[0], v) if roots else None
+    return [GaussRational(s, v) for s in rational_roots_of_int_poly(g.nr)]
 
 
 def _imaginary_parts(f: PolyQi):
-    """The rational roots of the real degree-9 polynomial h whose roots are the
-    (r_j - conj r_k)/2i over the roots r_j, r_k of the monic cubic f.
+    """The rational roots of the real polynomial h of degree n^2 whose roots
+    are the (r_j - conj r_k)/2i over the roots r_j, r_k of the monic f of
+    degree n >= 1.
 
     Im r is among them for every root r.  With u = r/2i the roots of h are the
     u_j + conj(u_k), so its power sums are sum_l C(m, l) p_l conj(p_(m-l)) for
@@ -313,14 +306,16 @@ def _imaginary_parts(f: PolyQi):
     sum_(k<m) c_k p_(m-k) + m c_m = 0, for descending coefficients c with
     c_0 = 1, go from f to p and from those sums back to h.
     """
+    n = f.degree
+    top = n * n
     half_over_i = GaussRational(0, Fraction(-1, 2))
-    c = [x * half_over_i ** k for k, x in enumerate(reversed(f.coeffs))] + [GR_ZERO] * 6
-    p = [GaussRational(3)]
-    for m in range(1, 10):
+    c = [x * half_over_i ** k for k, x in enumerate(reversed(f.coeffs))] + [GR_ZERO] * (top - n)
+    p = [GaussRational(n)]
+    for m in range(1, top + 1):
         p.append(-sum((c[k] * p[m - k] for k in range(1, m)), c[m] * m))
-    sums = [sum(comb(m, l) * p[l] * p[m - l].conj() for l in range(m + 1)) for m in range(10)]
+    sums = [sum(comb(m, l) * p[l] * p[m - l].conj() for l in range(m + 1))
+            for m in range(top + 1)]
     h = [GR_ONE]
-    for m in range(1, 10):
+    for m in range(1, top + 1):
         h.append(-sum(h[k] * sums[m - k] for k in range(m)) / m)
     return rational_roots_of_int_poly(to_numerators(h[::-1])[0])
-

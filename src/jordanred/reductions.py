@@ -229,7 +229,7 @@ def pierce_from_roots(X: JordanMatrix, roots) -> PierceTriple:
     """
     roots = tuple(GaussRational(r) if not isinstance(r, GaussRational) else r
                   for r in roots)
-    if len(roots) != 3 or len({(r.re, r.im) for r in roots}) != 3:
+    if len(roots) != 3 or len(set(roots)) != 3:
         raise ValueError("need three pairwise distinct roots")
     one, mt, qp, md = char_poly(X)
     e1 = roots[0] + roots[1] + roots[2]
@@ -420,9 +420,8 @@ def _find_severi_points(X: JordanMatrix, Y: JordanMatrix) -> SeveriPointReport:
         points.append(SeveriPoint(special=(cls_y == SeveriClass.SQUARE_ZERO),
                                   param=(GR_ZERO, GR_ONE), matrix=Y))
     if g.degree > 0:
-        # the points are the roots of the squarefree part g / gcd(g, g')
-        squarefree, _ = g.divmod(poly_gcd(g, g.derivative()))
-        roots, leftovers = roots_qi(squarefree)
+        # the points are the distinct roots of g, each found once
+        roots, leftovers = roots_qi(g)
         for t0 in roots:
             m = X + Y.scale(t0)
             cls = _check_rank_one(m)

@@ -85,26 +85,6 @@ def test_pow():
     assert GaussRational(5, -3) ** 0 == GR_ONE
 
 
-@pytest.mark.parametrize("value,root", [
-    (GaussRational(4), GaussRational(2)),
-    (GaussRational(Fraction(9, 16)), GaussRational(Fraction(3, 4))),
-    (GaussRational(-4), GaussRational(0, 2)),
-    (GaussRational(0, 2), GaussRational(1, 1)),
-    (GaussRational(-5, 12), GaussRational(2, 3)),
-    (GR_ZERO, GR_ZERO),
-])
-def test_sqrt_exact(value, root):
-    s = value.sqrt()
-    assert s is not None and s * s == value
-    assert s in (root, -root)
-
-
-@pytest.mark.parametrize("value", [GaussRational(2), GaussRational(-2), GaussRational(0, 1),
-                                   GaussRational(1, 1), GaussRational(3, 5)])
-def test_sqrt_nonsquare(value):
-    assert value.sqrt() is None
-
-
 def test_json_round_trip():
     for x in (GaussRational(Fraction(3, 7)), GaussRational(0, Fraction(-2, 5)),
               GaussRational(1, 1), GR_ZERO):

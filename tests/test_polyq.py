@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import pytest
 
 from jordanred.gaussrat import GR_ONE, GR_ZERO, GaussRational
+from jordanred import polyq
 from jordanred.polyq import PolyQi, poly_gcd, rational_roots_of_int_poly, roots_qi
 
 
@@ -284,20 +285,21 @@ def lin(r, q=1):
      [GaussRational(Fraction(35, 6))], [P(-6, 0, 1)]),
     # t^2 + 4 is irreducible over Q but splits over Q(i)
     (lin(GaussRational(Fraction(1, 3)), -3) * P(4, 0, 1),
-     [GaussRational(Fraction(1, 3)), GaussRational(0, 2), GaussRational(0, -2)], []),
+     [GaussRational(Fraction(1, 3)), GaussRational(0, -2), GaussRational(0, 2)], []),
     (lin(GaussRational(Fraction(-720, 7)), 7) * P(5040, -2520, 360),
      [GaussRational(Fraction(-720, 7))], [P(14, -7, 1)]),
 ], ids=["3/2", "-5/2", "-7", "35/6", "1/3-splits", "-720/7"])
 def test_real_cubic_with_one_rational_root(f, roots, leftovers):
     assert not any(c.ni for c in f.coeffs)
     assert roots_qi(f) == (roots, leftovers)
+    _assert_complete(f, roots, leftovers)
 
 
 @pytest.mark.parametrize("f, roots, leftovers", [
     (lin(GaussRational(2)) * P(1, GaussRational(0, 1), 1),
      [GaussRational(2)], [P(1, GaussRational(0, 1), 1)]),
     (lin(GaussRational(Fraction(-1, 3)), 3) * lin(GaussRational(0, 1)) * lin(GaussRational(2, 1)),
-     [GaussRational(Fraction(-1, 3)), GaussRational(2, 1), GaussRational(0, 1)], []),
+     [GaussRational(Fraction(-1, 3)), GaussRational(0, 1), GaussRational(2, 1)], []),
     (lin(GaussRational(Fraction(5, 7)), 7) * P(GaussRational(0, 3), GaussRational(1, 1), 1),
      [GaussRational(Fraction(5, 7))], [P(GaussRational(0, 3), GaussRational(1, 1), 1)]),
     (lin(GaussRational(Fraction(-12, 5)), 5)
@@ -308,11 +310,12 @@ def test_real_cubic_with_one_rational_root(f, roots, leftovers):
      [GaussRational(60)], [P(GaussRational(360, -1), -1, 1)]),
     (lin(GaussRational(Fraction(1, 2)), 2) * lin(GaussRational(Fraction(1, 2)))
      * lin(GaussRational(3, -4)),
-     [GaussRational(Fraction(1, 2)), GaussRational(3, -4), GaussRational(Fraction(1, 2))], []),
+     [GaussRational(Fraction(1, 2)), GaussRational(3, -4)], []),
 ], ids=["2", "-1/3", "5/7", "-12/5", "60", "1/2-double"])
 def test_complex_cubic_with_a_rational_root(f, roots, leftovers):
     assert any(c.ni for c in f.coeffs)
     assert roots_qi(f) == (roots, leftovers)
+    _assert_complete(f, roots, leftovers)
 
 
 # -- the search at heights a divisor search cannot reach ------------------------
@@ -380,18 +383,49 @@ def test_rational_roots_in_tight_cases(coeffs, roots):
     assert rational_roots_of_int_poly([-c for c in coeffs]) == roots
 
 
+def _is_gaussian_square(z):
+    """Whether z = (nr + ni i)/d is a square in Q(i).
+
+    It is one exactly when w = (nr + ni i) d is a square x + yi squared in Z[i],
+    and then x^2 = (|w| + Re w)/2 and y^2 = (|w| - Re w)/2.
+    """
+    a, b = z.nr * z.d, z.ni * z.d
+    n = isqrt(a * a + b * b)
+    x, y = isqrt((n + a) // 2), isqrt((n - a) // 2)
+    return any(GaussRational(x, s * y) ** 2 == GaussRational(a, b) for s in (1, -1))
+
+
+def test_gaussian_square_oracle():
+    rng = random.Random("squares")
+    for _ in range(40):
+        z = GaussRational(Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                          Fraction(rng.randint(-99, 99), rng.randint(1, 9)))
+        assert _is_gaussian_square(z * z)
+    for z in (GaussRational(2), GaussRational(-2), GaussRational(0, 1), GaussRational(1, 1),
+              GaussRational(3, 5), GaussRational(Fraction(1, 2))):
+        assert not _is_gaussian_square(z)
+
+
+def _squarefree(f):
+    return f.divmod(poly_gcd(f, f.derivative()))[0].monic()
+
+
 def _assert_complete(f, roots, leftovers):
-    """The roots are roots, the leftovers have none in Q(i), and they make up f."""
+    """The roots are distinct roots of f in order (the real ones ascending,
+    then by imaginary and real part), the leftovers have none in Q(i), and
+    together they make up the squarefree part of f."""
     assert all(f(r).is_zero() for r in roots)
+    assert roots == sorted(set(roots), key=lambda r: (r.ni != 0, r.im, r.re))
     product = PolyQi([GR_ONE])
     for r in roots:
         product = product * linear(r)
     for g in leftovers:
-        assert g.degree == 2
-        c, b, a = g.coeffs
-        assert (b * b - 4 * a * c).sqrt() is None
+        assert g.degree in (2, 3)
+        if g.degree == 2:
+            c, b, a = g.coeffs
+            assert not _is_gaussian_square(b * b - 4 * a * c)
         product = product * g
-    assert product == f.monic()
+    assert product == _squarefree(f)
 
 
 @pytest.mark.parametrize("f, planted", [
@@ -432,3 +466,52 @@ def test_random_complex_cubics_are_split_completely(seed):
         roots, leftovers = roots_qi(f)
         assert r in roots
         _assert_complete(f, roots, leftovers)
+
+
+@pytest.mark.parametrize("f, roots", [
+    (linear(GaussRational(0, 1)) * linear(GaussRational(2, 1)) * linear(GaussRational(-3, 1)),
+     [GaussRational(-3, 1), GaussRational(0, 1), GaussRational(2, 1)]),
+    (linear(GaussRational(Fraction(2, 3), -5)), [GaussRational(Fraction(2, 3), -5)]),
+    (linear(GaussRational(1, 2)) * linear(GaussRational(1, 2)) * linear(GaussRational(0, -1)),
+     [GaussRational(0, -1), GaussRational(1, 2)]),
+    (linear(GaussRational(4, 1)) * linear(GaussRational(-1)) * linear(GaussRational(4, -1)),
+     [GaussRational(-1), GaussRational(4, -1), GaussRational(4, 1)]),
+], ids=["one-imaginary-part", "linear-nonreal", "double-nonreal", "sorted"])
+def test_roots_are_distinct_and_sorted(f, roots):
+    assert roots_qi(f) == (roots, [])
+    _assert_complete(f, roots, [])
+
+
+def test_degree_above_three_after_the_squarefree_part_is_refused():
+    f = linear(GaussRational(1)) * linear(GaussRational(2)) * linear(GaussRational(3))
+    assert roots_qi(f * linear(GaussRational(2)))[0] == [1, 2, 3]
+    with pytest.raises(NotImplementedError):
+        roots_qi(f * linear(GaussRational(4)))
+
+
+def _count_searches(monkeypatch):
+    calls = {"rational": 0, "imaginary": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(polyq, "rational_roots_of_int_poly",
+                        counted("rational", polyq.rational_roots_of_int_poly))
+    monkeypatch.setattr(polyq, "_imaginary_parts", counted("imaginary", polyq._imaginary_parts))
+    return calls
+
+
+def test_rational_roots_take_one_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    f = lin(GaussRational(Fraction(-7, 3)), 3) * linear(GaussRational(5)) * linear(GaussRational(5))
+    assert roots_qi(f) == ([Fraction(-7, 3), 5], [])
+    assert calls == {"rational": 1, "imaginary": 0}
+
+
+def test_real_irreducible_cubic_skips_the_imaginary_parts(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    f = P(-(10 ** 40 + 7), 3, 0, 1)
+    assert roots_qi(f) == ([], [f])
+    assert calls == {"rational": 1, "imaginary": 0}
