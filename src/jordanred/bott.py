@@ -8,6 +8,11 @@ into integer weights, and the Bott sums reproduce the intersection integrals
 of the degree-57 sixfold and the third Betti number of its Calabi-Yau
 linear section.
 
+A character is a finite multiset of Laurent monomials in x0, x1, x2, held
+as a `collections.Counter` of multiplicities; `weights` pairs it with a
+one-parameter subgroup.  Counter equality treats a missing monomial and a
+zero count alike, so a term added and cancelled again leaves no trace.
+
 Tangent characters are obtained in two independent ways: from the hard-coded
 class templates closed under the S3 action on coordinates, and from the
 arm/leg staircase formula applied to the monomial ideals; the suite checks
@@ -16,10 +21,11 @@ they agree symbolically on all 22 points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 Monomial = Tuple[int, int, int]  # exponents of x0, x1, x2 (Laurent)
@@ -30,50 +36,6 @@ def _mono(*pairs) -> Monomial:
     for idx, k in pairs:
         e[idx] += k
     return tuple(e)
-
-
-class TorusCharacter:
-    """A finite multiset of Laurent monomials in x0, x1, x2."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Monomial, int] = None):
-        self.terms = {}
-        if terms:
-            for m, k in terms.items():
-                if k:
-                    self.terms[tuple(m)] = self.terms.get(tuple(m), 0) + k
-
-    def add(self, m: Monomial, k: int = 1) -> None:
-        v = self.terms.get(m, 0) + k
-        if v:
-            self.terms[m] = v
-        else:
-            self.terms.pop(m, None)
-
-    def __eq__(self, other):
-        return isinstance(other, TorusCharacter) and self.terms == other.terms
-
-    def __len__(self):
-        return sum(self.terms.values())
-
-    def weights(self, w: "WeightVector") -> List[int]:
-        out = []
-        for m, k in self.terms.items():
-            out.extend([w.pair(m)] * k)
-        return sorted(out)
-
-    def permuted(self, perm) -> "TorusCharacter":
-        out = TorusCharacter()
-        for m, k in self.terms.items():
-            out.add(_permute_mono(m, perm), k)
-        return out
-
-    def __repr__(self):
-        def fmt(m, k):
-            s = "*".join("x%d^%d" % (i, e) for i, e in enumerate(m) if e)
-            return ("%d*(%s)" % (k, s)) if k != 1 else s
-        return " + ".join(fmt(m, k) for m, k in sorted(self.terms.items()))
 
 
 def _permute_mono(m: Monomial, perm) -> Monomial:
@@ -103,11 +65,16 @@ class WeightVector:
         return m[0] * self.w0 + m[1] * self.w1 + m[2] * self.w2
 
 
+def weights(ch: Counter, w: WeightVector) -> List[int]:
+    """The sorted integer weights of a character at a one-parameter subgroup."""
+    return sorted(w.pair(m) for m in ch.elements())
+
+
 @dataclass(frozen=True)
 class FixedPointDatum:
     class_id: int
     supports: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
-    tangent_char: TorusCharacter
+    tangent_char: Counter
     detE0: Monomial
     detE1: Monomial
 
@@ -119,11 +86,11 @@ class FixedPointDatum:
 
 
 def _template_class1():
-    ch = TorusCharacter()
+    ch = Counter()
     for i in range(3):
         for j in range(3):
             if i != j:
-                ch.add(_mono((i, 1), (j, -1)))
+                ch[_mono((i, 1), (j, -1))] += 1
     supports = tuple(sorted((k, ((0, 0),)) for k in range(3)))
     return FixedPointDatum(1, tuple(supports), ch, (0, 0, 0), (1, 1, 1))
 
@@ -131,12 +98,12 @@ def _template_class1():
 def _template_class2(d, t):
     """Length two at point d pointing toward t, plus the point t."""
     j = 3 - d - t
-    ch = TorusCharacter()
-    ch.add(_mono((t, 1), (j, -1)), 2)
-    ch.add(_mono((t, 1), (d, -1)))
-    ch.add(_mono((d, 1), (t, -1)))
-    ch.add(_mono((d, 1), (j, -1)))
-    ch.add(_mono((d, 2), (t, -2)))
+    ch = Counter()
+    ch[_mono((t, 1), (j, -1))] += 2
+    ch[_mono((t, 1), (d, -1))] += 1
+    ch[_mono((d, 1), (t, -1))] += 1
+    ch[_mono((d, 1), (j, -1))] += 1
+    ch[_mono((d, 2), (t, -2))] += 1
     supports = tuple(sorted(((d, _cells_toward(d, t, 2)), (t, ((0, 0),)))))
     detE0 = _mono((t, 1), (d, -1))
     detE1 = _mono((t, 2), (d, 1))
@@ -146,13 +113,13 @@ def _template_class2(d, t):
 def _template_class3(d, t):
     """Length two at point d pointing toward t, plus the remaining point."""
     r = 3 - d - t
-    ch = TorusCharacter()
-    ch.add(_mono((r, 1), (t, -1)))
-    ch.add(_mono((t, 1), (r, -1)))
-    ch.add(_mono((r, 1), (d, -1)))
-    ch.add(_mono((d, 1), (r, -1)))
-    ch.add(_mono((d, 1), (t, -1)))
-    ch.add(_mono((d, 2), (t, -2)))
+    ch = Counter()
+    ch[_mono((r, 1), (t, -1))] += 1
+    ch[_mono((t, 1), (r, -1))] += 1
+    ch[_mono((r, 1), (d, -1))] += 1
+    ch[_mono((d, 1), (r, -1))] += 1
+    ch[_mono((d, 1), (t, -1))] += 1
+    ch[_mono((d, 2), (t, -2))] += 1
     supports = tuple(sorted(((d, _cells_toward(d, t, 2)), (r, ((0, 0),)))))
     # det E_0 is the tangent weight at the double point: x_t / x_d.  (The
     # inverse ratio would contradict the tabulated lambda values.)
@@ -164,13 +131,13 @@ def _template_class3(d, t):
 def _template_class4(d, t):
     """Curvilinear length three at point d pointing toward t."""
     j = 3 - d - t
-    ch = TorusCharacter()
-    ch.add(_mono((d, 1), (t, -1)))
-    ch.add(_mono((t, 1), (j, -1)))
-    ch.add(_mono((d, 1), (j, -1)))
-    ch.add(_mono((t, 2), (d, -1), (j, -1)))
-    ch.add(_mono((d, 2), (t, -2)))
-    ch.add(_mono((d, 3), (t, -3)))
+    ch = Counter()
+    ch[_mono((d, 1), (t, -1))] += 1
+    ch[_mono((t, 1), (j, -1))] += 1
+    ch[_mono((d, 1), (j, -1))] += 1
+    ch[_mono((t, 2), (d, -1), (j, -1))] += 1
+    ch[_mono((d, 2), (t, -2))] += 1
+    ch[_mono((d, 3), (t, -3))] += 1
     supports = ((d, _cells_toward(d, t, 3)),)
     detE0 = _mono((t, 3), (d, -3))
     detE1 = _mono((t, 3))
@@ -180,11 +147,11 @@ def _template_class4(d, t):
 def _template_class5(d):
     """The square of the maximal ideal at point d."""
     a, b = sorted(set(range(3)) - {d})
-    ch = TorusCharacter()
-    ch.add(_mono((d, 1), (a, -1)), 2)
-    ch.add(_mono((d, 1), (b, -1)), 2)
-    ch.add(_mono((d, 1), (a, 1), (b, -2)))
-    ch.add(_mono((d, 1), (b, 1), (a, -2)))
+    ch = Counter()
+    ch[_mono((d, 1), (a, -1))] += 2
+    ch[_mono((d, 1), (b, -1))] += 2
+    ch[_mono((d, 1), (a, 1), (b, -2))] += 1
+    ch[_mono((d, 1), (b, 1), (a, -2))] += 1
     supports = ((d, ((0, 0), (0, 1), (1, 0))),)
     detE0 = _mono((a, 1), (b, 1), (d, -2))
     detE1 = _mono((0, 1), (1, 1), (2, 1))
@@ -231,7 +198,8 @@ def enumerate_fixed_points() -> Tuple[FixedPointDatum, ...]:
             moved = FixedPointDatum(
                 tmpl.class_id,
                 _permute_supports(tmpl.supports, perm),
-                tmpl.tangent_char.permuted(perm),
+                Counter({_permute_mono(m, perm): k
+                         for m, k in tmpl.tangent_char.items()}),
                 _permute_mono(tmpl.detE0, perm),
                 _permute_mono(tmpl.detE1, perm),
             )
@@ -252,17 +220,10 @@ def _all_templates():
     yield _template_class5(0)
 
 
-def class_sizes() -> Dict[int, int]:
-    sizes: Dict[int, int] = {}
-    for d in enumerate_fixed_points():
-        sizes[d.class_id] = sizes.get(d.class_id, 0) + 1
-    return sizes
-
-
 # -- the staircase oracle ------------------------------------------------------------
 
 
-def staircase_tangent_char(supports) -> TorusCharacter:
+def staircase_tangent_char(supports) -> Counter:
     """Tangent character from the arm/leg staircase formula.
 
     `supports` maps point index k to the staircase cells (u-exp, v-exp) of a
@@ -275,7 +236,7 @@ def staircase_tangent_char(supports) -> TorusCharacter:
     total = sum(len(cells) for _, cells in supports)
     if total != 3:
         raise ValueError("total colength must be 3, got %d" % total)
-    ch = TorusCharacter()
+    ch = Counter()
     for k, cells in supports:
         a, b = sorted(set(range(3)) - {k})
         chi_u = _mono((a, 1), (k, -1))
@@ -284,8 +245,8 @@ def staircase_tangent_char(supports) -> TorusCharacter:
         for (c, r) in cellset:
             arm = sum(1 for (c2, r2) in cellset if r2 == r and c2 > c)
             leg = sum(1 for (c2, r2) in cellset if c2 == c and r2 > r)
-            ch.add(_scale_add(chi_u, -(arm + 1), chi_v, leg))
-            ch.add(_scale_add(chi_u, arm, chi_v, -(leg + 1)))
+            ch[_scale_add(chi_u, -(arm + 1), chi_v, leg)] += 1
+            ch[_scale_add(chi_u, arm, chi_v, -(leg + 1))] += 1
     return ch
 
 
@@ -336,7 +297,7 @@ def localize(w: WeightVector) -> LocalizationReport:
     rows = []
     sums = [Fraction(0)] * 4  # I0, I1, I2, I3
     for pt in enumerate_fixed_points():
-        ms = pt.tangent_char.weights(w)
+        ms = weights(pt.tangent_char, w)
         if len(ms) != 6:
             raise ArithmeticError("tangent character must have 6 terms")
         if any(m == 0 for m in ms):

@@ -10,119 +10,57 @@ Two independent routes to the degree:
   punctual Hilbert scheme of the plane, whose seven intersection numbers are
   quoted constants.
 
-The Betti tables, Euler characteristics and torus fixed-point counts of all
-four varieties of reductions are computed from the blow-up recursion.
+A class in Z[h, h']/(h^3, h'^3) is a plain map {(i, j): coefficient} on the
+monomials h^i h'^j, without zero coefficients; `mul` is its product.
+
+The Betti numbers and Euler characteristics of all four varieties of
+reductions come from the blow-up recursion; the torus fixed-point counts are
+the closed form `fixed_point_count`, which `topology` checks against the
+Euler number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Tuple
+from typing import Dict, Tuple
 
 
-class BidegreePoly:
-    """Integer polynomial in Z[h, h']/(h^3, h'^3), coefficients on h^i h'^j."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = [[0] * 3 for _ in range(3)]
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                if i < 3 and j < 3:
-                    self.c[i][j] = v
-
-    @classmethod
-    def monomial(cls, i: int, j: int, v: int = 1) -> "BidegreePoly":
-        return cls({(i, j): v})
-
-    def __add__(self, other: "BidegreePoly") -> "BidegreePoly":
-        out = BidegreePoly()
-        for i in range(3):
-            for j in range(3):
-                out.c[i][j] = self.c[i][j] + other.c[i][j]
-        return out
-
-    def __sub__(self, other: "BidegreePoly") -> "BidegreePoly":
-        out = BidegreePoly()
-        for i in range(3):
-            for j in range(3):
-                out.c[i][j] = self.c[i][j] - other.c[i][j]
-        return out
-
-    def __neg__(self) -> "BidegreePoly":
-        return BidegreePoly() - self
-
-    def __mul__(self, other) -> "BidegreePoly":
-        if isinstance(other, int):
-            out = BidegreePoly()
-            for i in range(3):
-                for j in range(3):
-                    out.c[i][j] = self.c[i][j] * other
-            return out
-        out = BidegreePoly()
-        for i in range(3):
-            for j in range(3):
-                if not self.c[i][j]:
-                    continue
-                for k in range(3 - i):
-                    for l in range(3 - j):
-                        if other.c[k][l]:
-                            out.c[i + k][j + l] += self.c[i][j] * other.c[k][l]
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BidegreePoly":
-        out = BidegreePoly.monomial(0, 0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, BidegreePoly) and self.c == other.c
-
-    def integral(self) -> int:
-        """The coefficient of h^2 h'^2 (the point class of the surface)."""
-        return self.c[2][2]
-
-    def __repr__(self):
-        terms = ["%d h^%d h'^%d" % (self.c[i][j], i, j)
-                 for i in range(3) for j in range(3) if self.c[i][j]]
-        return " + ".join(terms) if terms else "0"
+ChowClass = Dict[Tuple[int, int], int]
 
 
-H1 = BidegreePoly.monomial(1, 0)
-H2 = BidegreePoly.monomial(0, 1)
-HYP = H1 + H2  # restriction of the ambient hyperplane class
+def mul(p: ChowClass, q: ChowClass) -> ChowClass:
+    """The product in Z[h, h']/(h^3, h'^3): a monomial with h^3 or h'^3 dies."""
+    out: ChowClass = {}
+    for (i, j), u in p.items():
+        for (k, l), v in q.items():
+            if i + k < 3 and j + l < 3:
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + u * v
+    return {m: c for m, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ChernData:
-    c1: BidegreePoly
-    c2: BidegreePoly
-    c3: BidegreePoly
+HYP: ChowClass = {(1, 0): 1, (0, 1): 1}  # restriction of the ambient hyperplane class
+
+# (c1, c2, c3) of the normal bundle of the projected sextic surface.
+NORMAL_CHERN: Tuple[ChowClass, ChowClass, ChowClass] = (
+    {(1, 0): 5, (0, 1): 5},
+    {(2, 0): 10, (1, 1): 17, (0, 2): 10},
+    {(2, 1): 18, (1, 2): 18},
+)
 
 
-def normal_bundle_chern() -> ChernData:
-    """Chern classes of the normal bundle of the projected sextic surface."""
-    return ChernData(
-        c1=5 * H1 + 5 * H2,
-        c2=BidegreePoly({(2, 0): 10, (1, 1): 17, (0, 2): 10}),
-        c3=BidegreePoly({(2, 1): 18, (1, 2): 18}),
-    )
+def segre_classes(chern) -> Tuple[ChowClass, ...]:
+    """s_0..s_4 with (1 + c1 + c2 + c3)(1 + s1 + s2 + ...) = 1, for chern = (c1, c2, c3).
 
-
-def segre_classes(cd: ChernData) -> Tuple[BidegreePoly, ...]:
-    """s_0..s_4 with (1 + c1 + c2 + c3)(1 + s1 + s2 + ...) = 1."""
-    one = BidegreePoly.monomial(0, 0)
-    c1, c2, c3 = cd.c1, cd.c2, cd.c3
-    s1 = -c1
-    s2 = c1 * c1 - c2
-    s3 = -(c1 * c1 * c1) + 2 * (c1 * c2) - c3
-    s4 = -(c3 * s1) - (c2 * s2) - (c1 * s3)
-    return (one, s1, s2, s3, s4)
+    That is s_0 = 1 and s_k = -(c1 s_(k-1) + c2 s_(k-2) + c3 s_(k-3)).
+    """
+    s = [{(0, 0): 1}]
+    for k in range(1, 5):
+        sk: ChowClass = {}
+        for i in range(1, min(k, 3) + 1):
+            for m, c in mul(chern[i - 1], s[k - i]).items():
+                sk[m] = sk.get(m, 0) - c
+        s.append({m: c for m, c in sk.items() if c})
+    return tuple(s)
 
 
 def blowup_intersection(i: int, j: int) -> int:
@@ -138,8 +76,11 @@ def blowup_intersection(i: int, j: int) -> int:
     k = j - 3
     if k < 0:
         return 0
-    segre = segre_classes(normal_bundle_chern())
-    val = ((HYP ** i) * segre[k]).integral()
+    cls = segre_classes(NORMAL_CHERN)[k]
+    for _ in range(i):
+        cls = mul(cls, HYP)
+    # h^2 h'^2 is the point class of the surface
+    val = cls.get((2, 2), 0)
     return val if (j - 1) % 2 == 0 else -val
 
 
@@ -170,7 +111,8 @@ def schubert_coefficients() -> Tuple[int, int, int]:
     """The class of Y_2 in G(3, 6) is sigma_3 + 2 sigma_21 + 4 sigma_111.
 
     The degree relation d = 5x + 16y + 5z pins y once x and z are known
-    geometrically; the triple is verified against both degree routes.
+    geometrically; d is read off the blow-up route (`cli.build_degree`
+    checks that the two routes agree).
     """
     x, z = 1, 4
     d = degree_y2_blowup()
@@ -181,20 +123,6 @@ def schubert_coefficients() -> Tuple[int, int, int]:
 
 
 # -- topology ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BettiTable:
-    """Even Betti numbers b_0, b_2, ..., b_{6a} of a variety of reductions."""
-
-    a: int
-    numbers: Tuple[int, ...]
-
-    def euler(self) -> int:
-        return sum(self.numbers)
-
-    def is_symmetric(self) -> bool:
-        return self.numbers == tuple(reversed(self.numbers))
 
 
 def severi_betti(a: int, p: int) -> int:
@@ -208,10 +136,11 @@ def severi_betti(a: int, p: int) -> int:
     return 2
 
 
-def betti_table(a: int) -> BettiTable:
-    """Betti numbers through the blow-up recursion (a = 1 is hard-coded)."""
+def betti_table(a: int) -> Tuple[int, ...]:
+    """Even Betti numbers b_0, b_2, ..., b_(6a) through the blow-up recursion
+    (a = 1 is hard-coded)."""
     if a == 1:
-        return BettiTable(1, (1, 1, 1, 1))
+        return (1, 1, 1, 1)
     if a not in (2, 4, 8):
         raise ValueError("a must be one of 1, 2, 4, 8")
     numbers = []
@@ -222,7 +151,7 @@ def betti_table(a: int) -> BettiTable:
             b += severi_betti(a, p - 2 * j - 1)
             j += 1
         numbers.append(b)
-    return BettiTable(a, tuple(numbers))
+    return tuple(numbers)
 
 
 def fixed_point_count(a: int) -> int:
@@ -233,12 +162,14 @@ def fixed_point_count(a: int) -> int:
 
 
 def topology(a: int):
-    """(BettiTable, euler, fixed_count); a failed cross-check raises ArithmeticError."""
+    """(even Betti numbers, euler, fixed_count); a failed cross-check raises
+    ArithmeticError."""
     table = betti_table(a)
-    euler = table.euler()
+    # the odd Betti numbers vanish
+    euler = sum(table)
     fc = fixed_point_count(a)
     if euler != fc:
         raise ArithmeticError("fixed-point count disagrees with the Euler characteristic")
-    if not table.is_symmetric():
+    if table != table[::-1]:
         raise ArithmeticError("Betti table is not symmetric")
     return table, euler, fc

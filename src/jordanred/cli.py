@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -436,10 +437,10 @@ def build_betti(a: int) -> Report:
     table, euler, fc = chow.topology(a)
     # the odd Betti numbers vanish, so the Euler number is the sum of the even ones
     reference_euler = sum(BETTI_TABLES[a])
-    rep.add("even Betti numbers", BETTI_TABLES[a], list(table.numbers), "reference")
+    rep.add("even Betti numbers", BETTI_TABLES[a], list(table), "reference")
     rep.add("Euler characteristic", reference_euler, euler, "reference")
     rep.add("torus fixed-point count", reference_euler, fc, "reference")
-    rep.add_bool("Poincare symmetry", table.is_symmetric(), "derived")
+    rep.add_bool("Poincare symmetry", table == table[::-1], "derived")
     return rep
 
 
@@ -459,7 +460,7 @@ def build_bott(weights: str) -> Report:
     pts = bott_mod.enumerate_fixed_points()
     rep.add("number of fixed points", 22, len(pts), "reference")
     rep.add("class sizes", {"1": 1, "2": 6, "3": 6, "4": 6, "5": 3},
-            {str(k): v for k, v in sorted(bott_mod.class_sizes().items())},
+            {str(k): v for k, v in sorted(Counter(p.class_id for p in pts).items())},
             "reference")
     rep.add_bool("staircase oracle equals the tabulated characters",
                  all(bott_mod.staircase_tangent_char(p.supports) == p.tangent_char

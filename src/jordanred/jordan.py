@@ -32,11 +32,6 @@ from .gaussrat import (GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators
                        to_numerators)
 
 
-HALF = GaussRational(1, 0) / 2
-THIRD = GaussRational(1, 0) / 3
-SIXTH = GaussRational(1, 0) / 6
-
-
 def _slots(a: int):
     """The start index of x_1, x_2, x_3 in the flat coordinate vector."""
     return (3, 3 + a, 3 + 2 * a)
@@ -212,7 +207,7 @@ def trace_forms(X: JordanMatrix) -> Tuple[GaussRational, GaussRational, GaussRat
     """(trace, Q, Q') with Q = trace(X o X) and Q' = (trace^2 - Q)/2."""
     t = X.trace()
     q = inner(X, X)
-    return t, q, (t * t - q) * HALF
+    return t, q, (t * t - q) / 2
 
 
 def det(X: JordanMatrix) -> GaussRational:
@@ -245,7 +240,7 @@ def det3(X: JordanMatrix, Y: JordanMatrix, Z: JordanMatrix) -> GaussRational:
     s = det(X + Y + Z)
     s = s - det(X + Y) - det(Y + Z) - det(X + Z)
     s = s + det(X) + det(Y) + det(Z)
-    return s * SIXTH
+    return s / 6
 
 
 def char_poly(X: JordanMatrix):
@@ -293,7 +288,7 @@ def classify_severi(X: JordanMatrix) -> Tuple[SeveriClass, Optional[GaussRationa
     if sq.is_zero():
         return SeveriClass.SQUARE_ZERO, GR_ZERO
     q = inner(X, X)
-    n = sq - JordanMatrix.identity(X.tag).scale(q * THIRD)
+    n = sq - JordanMatrix.identity(X.tag).scale(q / 3)
     s = _proportionality_factor(n, X)
     if s is not None and 6 * s * s == q:
         return SeveriClass.PROJECTED_RANK_ONE, s

@@ -173,7 +173,7 @@ def test_criterion_7_topology_suite():
     ok = True
     for a in (1, 2, 4, 8):
         table, euler, fc = topology(a)
-        if table.numbers != tables[a] or euler != eulers[a]:
+        if table != tables[a] or euler != eulers[a]:
             ok = False
         if a >= 2 and fc != 3 * a * a // 2 + 3 * a + 1:
             ok = False

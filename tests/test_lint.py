@@ -102,11 +102,25 @@ def _identifiers(node):
                    if isinstance(sub, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def _assigned_names(node):
+    """The non-dunder names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)
+            and not (sub.id.startswith("__") and sub.id.endswith("__"))]
+
+
 def test_every_top_level_definition_is_used():
-    """Each top-level def or class of the package, and each non-dunder method
-    of a top-level class, is referred to by package code outside its own
-    definition, by perfbench/, or exported by __init__ (an import there).
-    Tests do not count: code that only tests reach belongs in the tests."""
+    """Each top-level def, class or assigned name of the package (dunders
+    aside), and each non-dunder method of a top-level class, is referred to
+    by package code outside its own definition or assignment, by perfbench/,
+    or exported by __init__ (an import there).  Tests do not count: code that
+    only tests reach belongs in the tests."""
     root = SRC.parents[1]
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
@@ -117,6 +131,9 @@ def test_every_top_level_definition_is_used():
     unused = []
     for name, tree in trees.items():
         for node in tree.body:
+            unused.extend("%s:%s" % (name, target) for target in _assigned_names(node)
+                          if target not in benchmark
+                          and package[target] == _identifiers(node)[target])
             if not isinstance(node, defs):
                 continue
             units = [node]
