@@ -13,13 +13,14 @@ This module is the one place that knows that layout.  `to_numerators` puts
 scalars (and vectors) over their least common denominator, `from_numerators`
 reads the scalars back and `normalize` restores the gcd condition; `mat_vec`
 applies a Gaussian integer matrix to a vector and `bilinear` sums products
-of coordinates, both on the numerators.  `normalize_matrix` and `mat_mat`
-normalise and multiply matrix triples.  Scalars enter the layout through
+of coordinates, both on the numerators.  A matrix triple is only ever B^-1
+from `linalg.invert` or a product from `liealg.random_unipotent`:
+`normalize_matrix` normalises it, `mat_vec` applies it to a vector, and no
+two matrices are multiplied.  Scalars enter the layout through
 `to_numerators` and views leave it through `from_numerators`.  Between
 modules every vector is a triple (re, im, d): algebra elements, Jordan
 matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg` and
-the ascending coefficients of a `PolyQi` polynomial; the inverse from
-`linalg` and the unipotent automorphisms are matrix triples.
+the ascending coefficients of a `PolyQi` polynomial.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.
@@ -329,27 +330,3 @@ def normalize_matrix(re, im, d: int):
             d //= g
     return tuple(map(tuple, re)), tuple(map(tuple, im)), d
 
-
-def mat_mat(a, b):
-    """The product of two matrix triples (re rows, im rows, d), normalised.
-
-    Row i of the product sums the rows of b's numerators weighted by the
-    nonzero entries of row i of a's, over the product of the denominators.
-    """
-    ar, ai, ad = a
-    br, bi, bd = b
-    brows = list(zip(br, bi))
-    width = len(br[0])
-    out_re, out_im = [], []
-    for xr, xi in zip(ar, ai):
-        sr, si = [0] * width, [0] * width
-        for p, q, (yr, yi) in zip(xr, xi, brows):
-            if p:
-                sr = [s + p * y for s, y in zip(sr, yr)]
-                si = [s + p * y for s, y in zip(si, yi)]
-            if q:
-                sr = [s - q * y for s, y in zip(sr, yi)]
-                si = [s + q * y for s, y in zip(si, yr)]
-        out_re.append(sr)
-        out_im.append(si)
-    return normalize_matrix(out_re, out_im, ad * bd)

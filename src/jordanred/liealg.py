@@ -26,11 +26,10 @@ Basis of J0 (dimension 3a + 2):
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
-from operator import mul
+from math import lcm
 
 from .algebra import AlgebraTag, AlgElement, mult_table, structure_constants
-from .gaussrat import mat_mat, mat_vec, normalize, normalize_matrix
+from .gaussrat import mat_vec, normalize, normalize_matrix
 from .jordan import JordanMatrix, _slots, inner
 from .linalg import RowSpan, invert, nullspace, rank
 
@@ -456,99 +455,79 @@ def mult_matrices(z: AlgElement):
 
 # -- unipotent automorphisms (exact exponentials of nilpotent derivations) --------
 #
-# These matrices are triples (re rows, im rows, d) in the numerator layout of
-# `gaussrat`.  Whether a power vanishes does not depend on d, so the powers
-# are taken of the Gaussian integer numerators alone, over 1.
-
-
-def _identity(n):
-    rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return rows, tuple((0,) * n for _ in range(n)), 1
-
-
-def _nonzero_powers(mat):
-    """[A^0, A^1, ..., A^m] with A^(m+1) = 0, for the numerators A of mat.
-
-    None when A is not nilpotent, that is when A^n does not vanish.
-    """
-    re, im, _ = mat
-    a = (re, im, 1)
-    powers = [_identity(len(re))]
-    while True:
-        p = mat_mat(powers[-1], a)
-        if not any(map(any, p[0] + p[1])):
-            return powers
-        if len(powers) == len(re):
-            return None
-        powers.append(p)
-
-
-def is_nilpotent(mat) -> bool:
-    """Whether the matrix triple mat is nilpotent."""
-    return _nonzero_powers(mat) is not None
-
-
-def exp_nilpotent(mat):
-    """Exact exp of a nilpotent matrix triple (re rows, im rows, d), as a triple.
-
-    With A its numerators and A^m the last nonzero power, exp(A/d) is the
-    sum of A^k d^(m-k) (m!/k!) over the one denominator d^m m!.
-    """
-    powers = _nonzero_powers(mat)
-    if powers is None:
-        raise ValueError("matrix is not nilpotent")
-    d, m = mat[2], len(powers) - 1
-    f = [d ** (m - k) * (factorial(m) // factorial(k)) for k in range(m + 1)]
-
-    def weighted_sum(part):
-        return [[sum(map(mul, f, entries)) for entries in zip(*rows)]
-                for rows in zip(*(p[part] for p in powers))]
-
-    return normalize_matrix(weighted_sum(0), weighted_sum(1), d ** m * factorial(m))
+# A nilpotent generator N is kept as its sparse columns; one series,
+# `exp_apply`, sends a vector to exp(tN)v, and `random_unipotent` assembles
+# the images of the J0 basis into the one matrix triple built here.
 
 
 @lru_cache(maxsize=None)
 def nilpotent_generators(tag: AlgebraTag):
-    """A few nilpotent derivations m1 + i m2 on J0, as triples (m1, m2, 1)."""
-    ops = so3a_basis(tag)
-    ntr = len(triality_basis(tag))
+    """A few nilpotent derivations N = m1 + i m2 on J0, as sparse columns.
+
+    m1 and m2 are slot generators of `so3a_basis`: a_i(e0) and +/- a_j(e0)
+    for two slots, and a_i(e0) and a_i(e1) inside one slot when a >= 2, so
+    that N is isotropic.  Column j of N is the tuple of (row, re, im) over
+    its nonzero entries.  Nilpotency is not tested here: `exp_apply` raises
+    on any vector that N does not send to zero.
+    """
     a = tag.dim
-
-    def slot_matrix(slot, k):
-        return ops[ntr + slot * a + k].matrix
-
-    # isotropic combinations across two slots: a_i(e0) +/- i a_j(e0)
-    pairs = [(slot_matrix(s1, 0), slot_matrix(s2, 0), sign)
+    slots = [op.matrix for op in so3a_basis(tag)[len(triality_basis(tag)):]]
+    pairs = [(slots[s1 * a], slots[s2 * a], sign)
              for s1, s2 in ((0, 1), (1, 2), (0, 2)) for sign in (1, -1)]
-    # isotropic element inside one slot (needs a >= 2)
     if a >= 2:
-        pairs += [(slot_matrix(slot, 0), slot_matrix(slot, 1), 1) for slot in range(3)]
-    out = []
-    for m1, m2, sign in pairs:
-        cand = (m1, tuple(tuple(sign * v for v in row) for row in m2), 1)
-        if is_nilpotent(cand):
-            out.append(cand)
-    if not out:
-        raise RuntimeError("no nilpotent derivations found for %s" % tag)
-    return tuple(out)
+        pairs += [(slots[slot * a], slots[slot * a + 1], 1) for slot in range(3)]
+    return tuple(tuple(tuple((r, m1[r][j], sign * m2[r][j]) for r in range(len(m1))
+                             if m1[r][j] or m2[r][j])
+                       for j in range(len(m1)))
+                 for m1, m2, sign in pairs)
 
 
-def random_unipotent(tag: AlgebraTag, rng, factors: int = 3):
-    """A random product of exact unipotent automorphisms of J3(A), as a triple on J0."""
-    n = len(nilpotent_generators(tag))
-    g = _identity(j0_dim(tag))
-    for _ in range(factors):
-        j = rng.randrange(n)
-        g = mat_mat(g, _unipotent_factor(tag, j, rng.choice((-2, -1, 1, 2))))
-    return g
+def exp_apply(cols, t: int, re, im, d: int):
+    """exp(tN)v, the sum of t^k N^k v / k!, for N given by its sparse columns.
+
+    v = (re + i im)/d.  The numerators of the terms t^k N^k v are folded in
+    by Horner's rule over d k!, and the series stops at its first zero term.
+    Returns the normalised triple; raises ArithmeticError when N^n v is not
+    zero for n = dim J0, that is when N is not nilpotent.
+    """
+    n = len(cols)
+    out_re, out_im = list(re), list(im)
+    for k in range(1, n + 1):
+        term_re, term_im = [0] * n, [0] * n
+        for col, x, y in zip(cols, re, im):
+            if x or y:
+                for r, p, q in col:
+                    term_re[r] += t * (p * x - q * y)
+                    term_im[r] += t * (p * y + q * x)
+        if not any(term_re) and not any(term_im):
+            return normalize(out_re, out_im, d)
+        out_re = [k * s + v for s, v in zip(out_re, term_re)]
+        out_im = [k * s + v for s, v in zip(out_im, term_im)]
+        re, im, d = term_re, term_im, k * d
+    raise ArithmeticError("generator is not nilpotent: N^%d v is not zero" % n)
 
 
-@lru_cache(maxsize=None)
-def _unipotent_factor(tag: AlgebraTag, j: int, t: int):
-    """exp(t N_j) for the nilpotent generator N_j of `nilpotent_generators`."""
-    re, im, d = nilpotent_generators(tag)[j]
-    return exp_nilpotent(([[t * v for v in row] for row in re],
-                          [[t * v for v in row] for row in im], d))
+def random_unipotent(tag: AlgebraTag, rng, factors: int):
+    """A random product exp(t_1 N_1) ... exp(t_f N_f) of unipotent
+    automorphisms of J3(A), as a normalised matrix triple on J0.
+
+    Each factor draws N from `nilpotent_generators` and then t from
+    (-2, -1, 1, 2).  Column j is the image of the j-th basis vector of J0
+    under the factors, last factor first.
+    """
+    gens = nilpotent_generators(tag)
+    draws = [(gens[rng.randrange(len(gens))], rng.choice((-2, -1, 1, 2)))
+             for _ in range(factors)]
+    n = j0_dim(tag)
+    columns = []
+    for j in range(n):
+        v = tuple(int(i == j) for i in range(n)), (0,) * n, 1
+        for cols, t in reversed(draws):
+            v = exp_apply(cols, t, *v)
+        columns.append(v)
+    d = lcm(*(cd for _, _, cd in columns))
+    return normalize_matrix([[cr[i] * (d // cd) for cr, _, cd in columns] for i in range(n)],
+                            [[ci[i] * (d // cd) for _, ci, cd in columns] for i in range(n)], d)
 
 
 def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:

@@ -26,7 +26,7 @@ from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numer
                                 mat_vec, to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul, jordan_mul_full
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram, bform_inverse,
-                              exp_nilpotent, is_nilpotent, j0_basis, j0_dim,
+                              exp_apply, j0_basis, j0_dim,
                               j0_numerators, mult_matrices, nilpotent_generators,
                               orbit_rank, pi_table, random_unipotent, so3a_basis,
                               so3a_matrices, triality_basis, wedge_pairs)
@@ -281,11 +281,22 @@ def _factorial(k):
     return k * _factorial(k - 1) if k > 1 else 1
 
 
+def dense(cols):
+    """The GaussRational rows of a generator given by its sparse columns (row, re, im)."""
+    n = len(cols)
+    rows = [[GR_ZERO] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for r, p, q in col:
+            assert p or q
+            rows[r][j] = GaussRational(p, q)
+    return rows
+
+
 def ref_random_unipotent(tag, rng, factors):
     gens = nilpotent_generators(tag)
     g = ref_identity(j0_dim(tag))
     for _ in range(factors):
-        m = view(gens[rng.randrange(len(gens))])
+        m = dense(gens[rng.randrange(len(gens))])
         t = rng.choice((-2, -1, 1, 2))
         g = mat_mul(g, ref_exp_nilpotent([[v * t for v in row] for row in m]))
     return g
@@ -647,17 +658,17 @@ def test_a_purely_imaginary_pairing_is_not_a_member(tag):
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_unipotent_products_match_the_scalar_loops(tag):
     gens = nilpotent_generators(tag)
-    for m in gens:
-        assert m[2] == 1  # Gaussian integer matrices
-        assert is_nilpotent(m) and ref_is_nilpotent(view(m))
-        half = [[v * Fraction(1, 2) for v in row] for row in view(m)]
-        assert _fields(view(exp_nilpotent(as_triple(half)))) == \
-            _fields(ref_exp_nilpotent(half))
-    ident = ref_identity(j0_dim(tag))
-    not_nilpotent = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(view(gens[0]), ident)]
-    assert not is_nilpotent(as_triple(not_nilpotent)) and not ref_is_nilpotent(not_nilpotent)
-    with pytest.raises(ValueError):
-        exp_nilpotent(as_triple(not_nilpotent))
+    n = j0_dim(tag)
+    rng = make_rng(70 + ALL_TAGS.index(tag))
+    for cols in gens:
+        m = dense(cols)
+        assert ref_is_nilpotent(m)
+        # the series on a vector with mixed denominators, against exp(tN) of the oracle
+        v = [_scalar(rng, "mixed") for _ in range(n)]
+        for t in (-2, -1, 1, 2):
+            e = ref_exp_nilpotent([[x * t for x in row] for row in m])
+            assert vector_view(exp_apply(cols, t, *to_numerators(v))) == \
+                [sum((a * b for a, b in zip(row, v)), GR_ZERO) for row in e]
     for factors in (1, 3, 8):
         seed = 60 + factors
         got = random_unipotent(tag, random.Random(seed), factors)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from jordanred import liealg
 from jordanred.algebra import ALG_C, ALG_H, ALG_O, ALG_R, ALL_TAGS, AlgElement
 from jordanred.gaussrat import GR_ZERO, GaussRational, mat_vec, normalize
 from jordanred.jordan import JordanMatrix, inner, jordan_mul
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
                               bform_inverse, bracket_in_span, bracket_matrix,
-                              is_nilpotent, j0_basis, j0_dim,
+                              exp_apply, j0_basis, j0_dim,
                               j0_from_numerators, j0_gram, j0_numerators,
                               mult_matrices, nilpotent_generators, random_unipotent,
                               so3a_basis, so3a_rank, stabilizer_dims,
@@ -17,7 +18,7 @@ from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram,
 from jordanred.linalg import RowSpan
 from jordanred.sampling import (make_rng, random_jordan, random_projected_rank_one,
                                 random_square_zero, random_traceless)
-from test_flat_kernels import left_mult_matrix, view
+from test_flat_kernels import dense, left_mult_matrix, ref_is_nilpotent, view
 from test_linalg import ref_invert
 
 T_DIMS = {1: 0, 2: 2, 4: 9, 8: 28}
@@ -294,10 +295,7 @@ def test_lr_triple_requires_imaginary():
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_unipotent_automorphisms(tag):
     rng = make_rng()
-    gens = nilpotent_generators(tag)
-    assert gens
-    for m in gens:
-        assert is_nilpotent(m)
+    assert nilpotent_generators(tag)
     g = random_unipotent(tag, rng, factors=3)
     for _ in range(5):
         x, y = random_jordan(tag, rng), random_jordan(tag, rng)
@@ -306,6 +304,31 @@ def test_unipotent_automorphisms(tag):
         assert inner(gx, gy) == inner(x, y)
     ident = JordanMatrix.identity(tag)
     assert apply_j0_linear(tag, g, ident) == ident
+
+
+def _plus_identity(cols):
+    """N + I for a generator N given by its sparse columns (row, re, im)."""
+    out = []
+    for j, col in enumerate(cols):
+        entries = {r: (p, q) for r, p, q in col}
+        p, q = entries.get(j, (0, 0))
+        entries[j] = (p + 1, q)
+        out.append(tuple((r, p, q) for r, (p, q) in sorted(entries.items()) if p or q))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_a_generator_that_is_not_nilpotent_raises(tag, monkeypatch):
+    """The exponential series raises on N + I instead of truncating it, and so
+    does random_unipotent when every generator is replaced by N + I."""
+    bad = tuple(_plus_identity(cols) for cols in nilpotent_generators(tag))
+    assert not any(ref_is_nilpotent(dense(cols)) for cols in bad)
+    n = j0_dim(tag)
+    with pytest.raises(ArithmeticError):
+        exp_apply(bad[0], 1, (1,) + (0,) * (n - 1), (0,) * n, 1)
+    monkeypatch.setattr(liealg, "nilpotent_generators", lambda _: bad)
+    with pytest.raises(ArithmeticError):
+        random_unipotent(tag, make_rng(), factors=1)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)

@@ -255,3 +255,14 @@ def test_the_elimination_kernel_is_integer_only():
     source = (SRC / "linalg.py").read_text()
     names = ("GaussRational", "GR_ZERO", "GR_ONE", "to_numerators", "from_numerators")
     assert [name for name in names if name in source] == []
+
+
+def test_the_exponential_series_is_integer_only():
+    """liealg's exponential series, and random_unipotent which drives it, work
+    on integer numerators: they build no Q(i) scalar or Fraction."""
+    tree = ast.parse((SRC / "liealg.py").read_text())
+    units = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = ("GaussRational", "Fraction", "to_numerators", "from_numerators")
+    for unit in ("exp_apply", "random_unipotent"):
+        used = _identifiers(units[unit])
+        assert [name for name in used if name in names or name.startswith("GR_")] == [], unit
