@@ -17,8 +17,14 @@ denominator `d`, so coordinate k is (nr[k] + ni[k] i)/d.  Every element is
 normalised: d > 0 and the gcd of d and all numerators is 1, so equal
 elements have equal fields.  Arithmetic runs on the numerators and
 normalises once per operation; `coords` is a read-only view of
-`GaussRational` scalars.  The product is driven by the structure constants
-(i, j, k, sign) with e_i e_j = sign e_k, in `mul_numerators`.
+`GaussRational` scalars.
+
+The product `mul_numerators` is one straight-line function per dimension,
+built on first use (`product_kernel`).  `product_terms` writes the structure
+constants (i, j, k, sign) with e_i e_j = sign e_k out as signed products of
+the numerators' names, and `compile_kernel` turns such terms into Python
+source and compiles it with `exec`, so that a product does no loop or
+index work.  `jordan` builds its product from the same two functions.
 """
 
 from __future__ import annotations
@@ -106,32 +112,79 @@ def structure_constants(dim: int):
     return tuple((tuple(pos), tuple(neg)) for pos, neg in out)
 
 
+def scalar_terms(k: int, x, y):
+    """The terms of k x y for Q(i) numerators x = (re, im) and y = (re, im).
+
+    x and y hold names of the kernel's locals; the result is (real terms,
+    imaginary terms), each a list of (coefficient, name, name) for
+    coefficient * name * name.
+    """
+    (a, b), (c, e) = x, y
+    return [(k, a, c), (-k, b, e)], [(k, a, e), (k, b, c)]
+
+
+def product_terms(dim: int, k: int, x, y):
+    """For each coordinate of k x y, x and y algebra elements given as one
+    (re, im) pair of local names per coordinate: (real terms, imaginary terms)."""
+    out = [([], []) for _ in range(dim)]
+    for m, signed in enumerate(structure_constants(dim)):
+        for s, pairs in zip((k, -k), signed):
+            for i, j in pairs:
+                re, im = scalar_terms(s, x[i], y[j])
+                out[m][0].extend(re)
+                out[m][1].extend(im)
+    return out
+
+
+def _sum_source(terms) -> str:
+    """The terms (coefficient, name, name) as one Python sum, "0" for none."""
+    src = " ".join("%s %s%s*%s" % ("-" if k < 0 else "+", "" if abs(k) == 1 else "%d*" % abs(k),
+                                   u, v) for k, u, v in terms)
+    if not src:
+        return "0"
+    return src[2:] if src[0] == "+" else "-" + src[2:]
+
+
+def compile_kernel(name: str, params, outputs):
+    """The straight-line function name(*params) -> ([re...], [im...]).
+
+    Each parameter is a tuple of integer numerators, unpacked into the
+    locals <param>0, <param>1, ...; `params` maps each name to its length.
+    `outputs` is one (real terms, imaginary terms) pair per output coordinate,
+    each as `scalar_terms` gives them.  The source is compiled with `exec`
+    in a namespace without builtins, as `dataclasses` generates its methods,
+    and kept as the function's `source` attribute.
+    """
+    lines = ["def %s(%s):" % (name, ", ".join(params))]
+    for p, n in params.items():
+        lines.append("    %s%s = %s" % (", ".join("%s%d" % (p, t) for t in range(n)),
+                                       "," if n == 1 else "", p))
+    lines.append("    return [%s], [%s]" % tuple(
+        ", ".join(_sum_source(out[h]) for out in outputs) for h in (0, 1)))
+    source = "\n".join(lines) + "\n"
+    namespace = {}
+    exec(compile(source, "<kernel %s>" % name, "exec"), {"__builtins__": {}}, namespace)
+    kernel = namespace[name]
+    kernel.source = source
+    return kernel
+
+
+@lru_cache(maxsize=None)
+def product_kernel(dim: int):
+    """The compiled product of `mul_numerators` for one dimension."""
+    x = [("xr%d" % t, "xi%d" % t) for t in range(dim)]
+    y = [("yr%d" % t, "yi%d" % t) for t in range(dim)]
+    return compile_kernel("mul%d" % dim, dict.fromkeys(("xr", "xi", "yr", "yi"), dim),
+                          product_terms(dim, 1, x, y))
+
+
 def mul_numerators(dim: int, xr, xi, yr, yi):
     """Real and imaginary numerators of the product x y, from those of x and y.
 
     The product's denominator is the product of the two denominators; the
     result is not normalised.
     """
-    outr, outi = [], []
-    for pos, neg in structure_constants(dim):
-        r = m = 0
-        for i, j in pos:
-            a = xr[i]
-            b = xi[i]
-            c = yr[j]
-            e = yi[j]
-            r += a * c - b * e
-            m += a * e + b * c
-        for i, j in neg:
-            a = xr[i]
-            b = xi[i]
-            c = yr[j]
-            e = yi[j]
-            r -= a * c - b * e
-            m -= a * e + b * c
-        outr.append(r)
-        outi.append(m)
-    return outr, outi
+    return product_kernel(dim)(xr, xi, yr, yi)
 
 
 class FlatVector:

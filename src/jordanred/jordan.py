@@ -15,19 +15,21 @@ The 3a + 3 coordinates (c_1, c_2, c_3, then the a coordinates of x_1, x_2
 and x_3) form one flat Q(i) vector, laid out as in `algebra`: integer real
 numerators `nr`, integer imaginary numerators `ni` and one shared
 denominator `d`, normalised so that d > 0 and the gcd of d and all
-numerators is 1.  The product, the trace form, the trace and the
-determinant are single passes over the numerators; `c` and `x` are
-read-only views.
+numerators is 1.  The trace form, the trace and the determinant are single
+passes over the numerators, and the product is one compiled straight-line
+kernel per dimension, built on first use from `algebra`'s term generator;
+`c` and `x` are read-only views.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Tuple
 
-from .algebra import (AlgebraTag, AlgElement, FlatVector, mul_numerators, qbilin,
-                      tag_by_name)
+from .algebra import (AlgebraTag, AlgElement, FlatVector, compile_kernel, mul_numerators,
+                      product_terms, qbilin, scalar_terms, tag_by_name)
 from .gaussrat import (GR_ONE, GR_ZERO, GaussRational, bilinear, from_numerators,
                        to_numerators)
 
@@ -120,36 +122,49 @@ def jordan_mul(A: JordanMatrix, B: JordanMatrix) -> JordanMatrix:
     For off-diagonal slot i:  ((c_{i+1}+c_{i+2}) y_i + (d_{i+1}+d_{i+2}) x_i
                                + conj(y_{i+1} x_{i+2} + x_{i+1} y_{i+2})) / 2
 
-    One pass over the numerators: every term lies over d_A d_B, and the 1/2
-    goes into the denominator 2 d_A d_B, so the diagonal terms are doubled.
+    Every term lies over d_A d_B, and the 1/2 goes into the denominator
+    2 d_A d_B, so the diagonal terms are doubled.  The formula is unrolled
+    into one straight-line kernel per dimension (`jordan_kernel`).
     """
     A._check(B)
-    a = A.tag.dim
-    ar, ai, br, bi = A.nr, A.ni, B.nr, B.ni
-    slots = _slots(a)
-    x = [(ar[lo:lo + a], ai[lo:lo + a]) for lo in slots]
-    y = [(br[lo:lo + a], bi[lo:lo + a]) for lo in slots]
-    q = [bilinear(*x[m], *y[m]) for m in range(3)]
-    nr, ni = [], []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        nr.append(2 * (ar[i] * br[i] - ai[i] * bi[i] + q[j][0] + q[k][0]))
-        ni.append(2 * (ar[i] * bi[i] + ai[i] * br[i] + q[j][1] + q[k][1]))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        cr, ci = ar[j] + ar[k], ai[j] + ai[k]
-        dr, di = br[j] + br[k], bi[j] + bi[k]
-        (xr, xi), (yr, yi) = x[i], y[i]
-        pr, pi = mul_numerators(a, *y[j], *x[k])
-        sr, si = mul_numerators(a, *x[j], *y[k])
-        for t in range(a):
-            # conj negates every coordinate but the real unit's
-            er, ei = pr[t] + sr[t], pi[t] + si[t]
-            if t:
-                er, ei = -er, -ei
-            nr.append(cr * yr[t] - ci * yi[t] + dr * xr[t] - di * xi[t] + er)
-            ni.append(cr * yi[t] + ci * yr[t] + dr * xi[t] + di * xr[t] + ei)
+    nr, ni = jordan_kernel(A.tag.dim)(A.nr, A.ni, B.nr, B.ni)
     return JordanMatrix._make(A.tag, nr, ni, 2 * A.d * B.d)
+
+
+@lru_cache(maxsize=None)
+def jordan_kernel(a: int):
+    """jordan_mul's formula for dimension a as a compiled function of the
+    numerators (ar, ai, br, bi) of A and B, returning those of 2 A o B.
+
+    The algebra products come from `algebra.product_terms`, and conj keeps
+    coordinate 0 of a product and negates the others.
+    """
+    n = 3 * a + 3
+    na = [("ar%d" % t, "ai%d" % t) for t in range(n)]
+    nb = [("br%d" % t, "bi%d" % t) for t in range(n)]
+    x = [na[lo:lo + a] for lo in _slots(a)]
+    y = [nb[lo:lo + a] for lo in _slots(a)]
+
+    def conj_product(u, v):
+        return product_terms(a, 1, u, v)[:1] + product_terms(a, -1, u, v)[1:]
+
+    def merged(parts):
+        return tuple([term for part in parts for term in part[h]] for h in (0, 1))
+
+    outputs = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        outputs.append(merged([scalar_terms(2, na[i], nb[i])] + [
+            scalar_terms(2, u, v) for m in (j, k) for u, v in zip(x[m], y[m])]))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        p, s = conj_product(y[j], x[k]), conj_product(x[j], y[k])
+        for t in range(a):
+            outputs.append(merged([scalar_terms(1, na[m], y[i][t]) for m in (j, k)]
+                                  + [scalar_terms(1, nb[m], x[i][t]) for m in (j, k)]
+                                  + [p[t], s[t]]))
+    return compile_kernel("jordan%d" % a, dict.fromkeys(("ar", "ai", "br", "bi"), n),
+                          outputs)
 
 
 def _entries(X: JordanMatrix):

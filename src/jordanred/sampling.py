@@ -31,12 +31,22 @@ def _draw(rng: random.Random, n: int):
     """n random Gaussian integers as (real numerators, imaginary numerators).
 
     Each draws its real part in [-2, 2] and then its imaginary part in
-    [-1, 1], as `random_scalar` does, with no scalar object built.
+    [-1, 1], as `random_scalar` does, with no scalar object built.  The draws
+    are those of `rng.randint`, whose `_randbelow(m)` takes getrandbits(k)
+    for the bit length k of m until the value is below m; calling
+    getrandbits directly keeps the random stream and skips randint's checks.
     """
+    bits = rng.getrandbits
     re, im = [], []
     for _ in range(n):
-        re.append(rng.randint(-2, 2))
-        im.append(rng.randint(-1, 1))
+        r = bits(3)
+        while r >= 5:
+            r = bits(3)
+        m = bits(2)
+        while m == 3:
+            m = bits(2)
+        re.append(r - 2)
+        im.append(m - 1)
     return re, im
 
 

@@ -13,6 +13,7 @@ from jordanred.cli import (build_betti, build_degree,
                            build_verify_jordan, main)
 from jordanred.jordan import JordanMatrix
 from jordanred.reductions import OrbitClass, representative
+from jordanred.sampling import _draw, make_rng
 from test_hardening import TALL, TALL_LINE_BUDGET_S, time_budget
 
 
@@ -289,6 +290,18 @@ def test_every_campaign_draw_is_pinned(monkeypatch):
     assert len(rngs) == 20
     states = json.dumps([r.getstate() for r in rngs])
     assert hashlib.sha256(states.encode()).hexdigest() == CAMPAIGN_DRAW_DIGEST
+
+
+@pytest.mark.parametrize("seed", (0, 7, 20570))
+def test_the_sampler_draws_what_randint_draws(seed):
+    """`sampling._draw` returns the (randint(-2, 2), randint(-1, 1)) pairs and
+    leaves the generator in the state that those randint calls leave."""
+    for n in (0, 1, 2, 9, 27, 200):
+        rng, ref = make_rng(seed + n), make_rng(seed + n)
+        pairs = [(ref.randint(-2, 2), ref.randint(-1, 1)) for _ in range(n)]
+        re, im = _draw(rng, n)
+        assert list(zip(re, im)) == pairs
+        assert rng.getstate() == ref.getstate()
 
 
 def test_verify_suites_pass():

@@ -21,7 +21,7 @@ from math import gcd
 import pytest
 
 from jordanred import reductions
-from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mult_table, qbilin
+from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mul_numerators, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
                                 mat_vec, to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul, jordan_mul_full
@@ -531,6 +531,31 @@ def test_full_matrix_oracle_matches_the_entry_wise_product(tag, kind):
             out = jordan_mul_full(X, Y)
             _assert_normalised(out)
             assert out == ref_jordan_mul_full(X, Y) == jordan_mul(X, Y)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_the_kernels_are_right_on_every_basis_pair(tag):
+    """The compiled kernels are bilinear in the real and imaginary numerators,
+    so their values on unit inputs, real and imaginary, pin them completely:
+    mul_numerators against ref_mul on every (e_i, e_j), and jordan_mul against
+    jordan_mul_full on every pair of unit coordinate matrices."""
+    a, n = tag.dim, 3 * tag.dim + 3
+
+    def unit(size, k, s):
+        v = [GR_ZERO] * size
+        v[k] = s
+        return v
+    for i in range(a):
+        for j in range(a):
+            for s, t in ((GR_ONE, GR_ONE), (GR_I, GR_ONE), (GR_ONE, GR_I), (GR_I, GR_I)):
+                xs, ys = unit(a, i, s), unit(a, j, t)
+                (xr, xi, _), (yr, yi, _) = to_numerators(xs), to_numerators(ys)
+                assert list(from_numerators(*mul_numerators(a, xr, xi, yr, yi), 1)) == \
+                    ref_mul(tag, xs, ys)
+    units = [_jordan(tag, unit(n, k, s)) for k in range(n) for s in (GR_ONE, GR_I)]
+    for A in units:
+        for B in units:
+            assert jordan_mul(A, B) == jordan_mul_full(A, B)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)

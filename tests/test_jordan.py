@@ -236,3 +236,21 @@ def test_oracle_guards_raise_on_a_corrupted_kernel(monkeypatch):
             jordan_mul_full(a, b)
         with pytest.raises(ValueError, match="matrix is not Hermitian"):
             jordan_mul_full(diag, slot3)
+
+
+def test_the_product_and_its_oracle_share_no_kernel(monkeypatch):
+    """jordan_mul runs its own compiled kernel, built without mul_numerators,
+    while jordan_mul_full runs through mul_numerators, for R, C, H and O."""
+    rng = make_rng(11)
+    pairs = [(random_jordan(tag, rng), random_jordan(tag, rng)) for tag in ALL_TAGS]
+    old = [jordan_mul(a, b) for a, b in pairs]
+    assert old == [jordan_mul_full(a, b) for a, b in pairs]
+
+    def broken(dim, xr, xi, yr, yi):
+        raise RuntimeError("mul_numerators called")
+    monkeypatch.setattr(jordan, "mul_numerators", broken)
+    jordan.jordan_kernel.cache_clear()
+    assert [jordan_mul(a, b) for a, b in pairs] == old
+    for a, b in pairs:
+        with pytest.raises(RuntimeError, match="mul_numerators called"):
+            jordan_mul_full(a, b)

@@ -10,7 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import jordanred
-from jordanred.algebra import ALL_TAGS
+from jordanred.algebra import ALL_TAGS, product_kernel
+from jordanred.jordan import jordan_kernel
 from jordanred.reductions import ReductionLine, severi_points_on_line
 
 SRC = Path(jordanred.__file__).resolve().parent
@@ -266,3 +267,38 @@ def test_the_exponential_series_is_integer_only():
     for unit in ("exp_apply", "random_unipotent"):
         used = _identifiers(units[unit])
         assert [name for name in used if name in names or name.startswith("GR_")] == [], unit
+
+
+KERNEL_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
+                ast.Tuple, ast.List, ast.Name, ast.Load, ast.Store, ast.BinOp, ast.Add,
+                ast.Sub, ast.Mult, ast.UnaryOp, ast.USub, ast.Constant)
+
+
+def test_the_product_kernels_are_integer_only():
+    """The builders of the compiled algebra and Jordan products name no Q(i)
+    scalar or Fraction, and each generated source holds only names, int
+    constants, tuple unpacking, lists and + - *: no call, no attribute, no
+    float and no name that the function does not bind itself, so `exec` runs
+    nothing but integer arithmetic on its arguments."""
+    names = ("GaussRational", "Fraction", "to_numerators", "from_numerators")
+    builders = {"algebra.py": ("scalar_terms", "product_terms", "_sum_source",
+                               "compile_kernel", "product_kernel", "mul_numerators"),
+                "jordan.py": ("jordan_kernel", "jordan_mul")}
+    for path, units in builders.items():
+        tree = ast.parse((SRC / path).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for unit in units:
+            used = _identifiers(defs[unit])
+            assert [n for n in used if n in names or n.startswith("GR_")] == [], unit
+    kernels = [product_kernel(tag.dim) for tag in ALL_TAGS] + [
+        jordan_kernel(tag.dim) for tag in ALL_TAGS]
+    for kernel in kernels:
+        nodes = list(ast.walk(ast.parse(kernel.source)))
+        assert [type(node).__name__ for node in nodes if not isinstance(node, KERNEL_NODES)
+                or isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.USub)
+                or isinstance(node, ast.Constant) and type(node.value) is not int] == []
+        assert sum(isinstance(node, ast.FunctionDef) for node in nodes) == 1
+        bound = {node.arg for node in nodes if isinstance(node, ast.arg)} | {
+            node.id for node in nodes if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)}
+        assert {node.id for node in nodes if isinstance(node, ast.Name)} <= bound
