@@ -12,15 +12,16 @@ d) in the same way: tuples of integer rows over one denominator.
 This module is the one place that knows that layout.  `to_numerators` puts
 scalars (and vectors) over their least common denominator, `from_numerators`
 reads the scalars back and `normalize` restores the gcd condition; `mat_vec`
-applies a Gaussian integer matrix to a vector and `bilinear` sums products
-of coordinates, both on the numerators.  A matrix triple is only ever B^-1
-from `linalg.invert` or a product from `liealg.random_unipotent`:
-`normalize_matrix` normalises it, `mat_vec` applies it to a vector, and no
-two matrices are multiplied.  Scalars enter the layout through
-`to_numerators` and views leave it through `from_numerators`.  Between
-modules every vector is a triple (re, im, d): algebra elements, Jordan
-matrices, J0 coordinates, wedge tensors, kernel vectors of `linalg` and
-the ascending coefficients of a `PolyQi` polynomial.
+applies an integer matrix to a vector and `bilinear` sums products of
+coordinates, both on the numerators.  A matrix triple is only ever B^-1
+from `linalg.invert`, which `normalize_matrix` normalises; no package code
+applies it to a vector, and no two matrices are multiplied.  A unipotent
+automorphism is never a matrix: `liealg` keeps it as its factors.  Scalars
+enter the layout through `to_numerators` and views leave it through
+`from_numerators`.  Between modules every vector is a triple (re, im, d):
+algebra elements, Jordan matrices, J0 coordinates, wedge tensors, kernel
+vectors of `linalg` and the ascending coefficients of a `PolyQi`
+polynomial.
 
 On the wire a scalar is a reduced "p/q" string (or "p") when real and a
 pair [re, im] of those otherwise; JSON ints are accepted on input.
@@ -305,18 +306,11 @@ def bilinear(xr, xi, yr, yi):
             sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
 
 
-def mat_vec(m, re, im, d: int, m_im=None):
-    """The matrix m + i m_im applied to the vector (re + i im)/d, normalised.
-
-    m and m_im are integer matrices given by rows (m_im defaults to zero).
-    A matrix over a denominator e is applied by passing d e as d.
-    """
-    out_re = [sum(map(mul, row, re)) for row in m]
-    out_im = [sum(map(mul, row, im)) for row in m]
-    if m_im is not None:
-        out_re = [a - sum(map(mul, row, im)) for a, row in zip(out_re, m_im)]
-        out_im = [b + sum(map(mul, row, re)) for b, row in zip(out_im, m_im)]
-    return normalize(out_re, out_im, d)
+def mat_vec(m, re, im, d: int):
+    """The integer matrix m, given by rows, applied to the vector (re + i im)/d,
+    normalised.  A matrix over a denominator e is applied by passing d e as d."""
+    return normalize([sum(map(mul, row, re)) for row in m],
+                     [sum(map(mul, row, im)) for row in m], d)
 
 
 def normalize_matrix(re, im, d: int):

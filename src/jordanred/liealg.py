@@ -26,10 +26,9 @@ Basis of J0 (dimension 3a + 2):
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 from .algebra import AlgebraTag, AlgElement, mult_table, structure_constants
-from .gaussrat import mat_vec, normalize, normalize_matrix
+from .gaussrat import normalize
 from .jordan import JordanMatrix, _slots, inner
 from .linalg import RowSpan, invert, nullspace, rank
 
@@ -456,8 +455,9 @@ def mult_matrices(z: AlgElement):
 # -- unipotent automorphisms (exact exponentials of nilpotent derivations) --------
 #
 # A nilpotent generator N is kept as its sparse columns; one series,
-# `exp_apply`, sends a vector to exp(tN)v, and `random_unipotent` assembles
-# the images of the J0 basis into the one matrix triple built here.
+# `exp_apply`, sends a vector to exp(tN)v.  A unipotent automorphism is the
+# tuple of its factors (N, t), never a matrix: `apply_j0_linear` runs the
+# series once per factor on the one vector it moves.
 
 
 @lru_cache(maxsize=None)
@@ -509,30 +509,20 @@ def exp_apply(cols, t: int, re, im, d: int):
 
 def random_unipotent(tag: AlgebraTag, rng, factors: int):
     """A random product exp(t_1 N_1) ... exp(t_f N_f) of unipotent
-    automorphisms of J3(A), as a normalised matrix triple on J0.
+    automorphisms of J3(A), as the tuple of its factors (N_k columns, t_k).
 
     Each factor draws N from `nilpotent_generators` and then t from
-    (-2, -1, 1, 2).  Column j is the image of the j-th basis vector of J0
-    under the factors, last factor first.
+    (-2, -1, 1, 2).
     """
     gens = nilpotent_generators(tag)
-    draws = [(gens[rng.randrange(len(gens))], rng.choice((-2, -1, 1, 2)))
-             for _ in range(factors)]
-    n = j0_dim(tag)
-    columns = []
-    for j in range(n):
-        v = tuple(int(i == j) for i in range(n)), (0,) * n, 1
-        for cols, t in reversed(draws):
-            v = exp_apply(cols, t, *v)
-        columns.append(v)
-    d = lcm(*(cd for _, _, cd in columns))
-    return normalize_matrix([[cr[i] * (d // cd) for cr, _, cd in columns] for i in range(n)],
-                            [[ci[i] * (d // cd) for _, ci, cd in columns] for i in range(n)], d)
+    return tuple((gens[rng.randrange(len(gens))], rng.choice((-2, -1, 1, 2)))
+                 for _ in range(factors))
 
 
-def apply_j0_linear(tag: AlgebraTag, mat, X: JordanMatrix) -> JordanMatrix:
-    """Apply a linear map on J0 coordinates, a matrix triple, to a matrix, fixing I."""
-    mr, mi, md = mat
-    xr, xi, xd = traceless_numerators(X)
-    shift = JordanMatrix.identity(tag).scale(X.trace() / 3)
-    return j0_from_numerators(tag, *mat_vec(mr, xr, xi, md * xd, mi)) + shift
+def apply_j0_linear(tag: AlgebraTag, g, X: JordanMatrix) -> JordanMatrix:
+    """Apply a unipotent automorphism g, the factors of `random_unipotent`, to
+    a matrix: the last factor first on the J0 part of X, its trace kept."""
+    v = traceless_numerators(X)
+    for cols, t in reversed(g):
+        v = exp_apply(cols, t, *v)
+    return j0_from_numerators(tag, *v) + JordanMatrix.identity(tag).scale(X.trace() / 3)

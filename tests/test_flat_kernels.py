@@ -17,13 +17,14 @@ with the basis, all in GaussRational and AlgElement arithmetic.
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
 from jordanred import reductions
 from jordanred.algebra import ALG_O, ALL_TAGS, AlgElement, mul_numerators, mult_table, qbilin
 from jordanred.gaussrat import (GR_I, GR_ONE, GR_ZERO, GaussRational, from_numerators,
-                                mat_vec, to_numerators)
+                                normalize, to_numerators)
 from jordanred.jordan import JordanMatrix, det, inner, jordan_mul, jordan_mul_full
 from jordanred.liealg import (So3AOperator, apply_j0_linear, bform_gram, bform_inverse,
                               exp_apply, j0_basis, j0_dim,
@@ -153,7 +154,10 @@ def pi_through_b_inverse(X, Y):
     re, im, d = _wedge_numerators(tag, j0_numerators(X), j0_numerators(Y))
     vr, vi = zip(*pi_pairings(tag, re, im))
     br, bi, bd = bform_inverse(tag)
-    return mat_vec(br, vr, vi, bd * d, bi)
+    # (br + i bi)(vr + i vi) over bd d
+    return normalize([sum(map(mul, a, vr)) - sum(map(mul, b, vi)) for a, b in zip(br, bi)],
+                     [sum(map(mul, a, vi)) + sum(map(mul, b, vr)) for a, b in zip(br, bi)],
+                     bd * d)
 
 
 def realized(tag, coeffs):
@@ -583,10 +587,6 @@ def test_equal_values_by_different_routes_are_equal_and_hash_alike(tag):
 # -- the line path --------------------------------------------------------------------
 
 
-def _fields(mat):
-    return [[(v.nr, v.ni, v.d) for v in row] for row in mat]
-
-
 def _moved_lines(tag, rng, factors, span):
     """The representative of every orbit, moved by one unipotent automorphism
     of `factors` factors and respanned by a basis change in [-span, span]."""
@@ -694,11 +694,20 @@ def test_unipotent_products_match_the_scalar_loops(tag):
             e = ref_exp_nilpotent([[x * t for x in row] for row in m])
             assert vector_view(exp_apply(cols, t, *to_numerators(v))) == \
                 [sum((a * b for a, b in zip(row, v)), GR_ZERO) for row in e]
-    for factors in (1, 3, 8):
+    basis = j0_basis(tag)
+    for factors in (0, 1, 3, 8):
         seed = 60 + factors
-        got = random_unipotent(tag, random.Random(seed), factors)
-        assert _fields(view(got)) == \
-            _fields(ref_random_unipotent(tag, random.Random(seed), factors))
+        g = random_unipotent(tag, random.Random(seed), factors)
+        want = ref_random_unipotent(tag, random.Random(seed), factors)
+        # each basis matrix goes to the matching column of the oracle's product
+        for j, b in enumerate(basis):
+            assert vector_view(j0_numerators(apply_j0_linear(tag, g, b))) == \
+                [row[j] for row in want]
+        # diag(3, 2, 1) is 2I + D1 + D2: the trace is kept and the J0 part moves
+        moved = apply_j0_linear(tag, g, basis[-1] + JordanMatrix.diag(tag, 3, 2, 1))
+        assert moved.trace() == 6
+        assert vector_view(j0_numerators(moved - JordanMatrix.identity(tag).scale(2))) == \
+            [row[-1] + row[0] + row[1] for row in want]
 
 
 # -- the so3(A) operators -----------------------------------------------------------------

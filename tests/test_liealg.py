@@ -320,15 +320,16 @@ def _plus_identity(cols):
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_a_generator_that_is_not_nilpotent_raises(tag, monkeypatch):
     """The exponential series raises on N + I instead of truncating it, and so
-    does random_unipotent when every generator is replaced by N + I."""
+    does apply_j0_linear when every generator is replaced by N + I."""
     bad = tuple(_plus_identity(cols) for cols in nilpotent_generators(tag))
     assert not any(ref_is_nilpotent(dense(cols)) for cols in bad)
     n = j0_dim(tag)
     with pytest.raises(ArithmeticError):
         exp_apply(bad[0], 1, (1,) + (0,) * (n - 1), (0,) * n, 1)
     monkeypatch.setattr(liealg, "nilpotent_generators", lambda _: bad)
+    g = random_unipotent(tag, make_rng(), factors=1)
     with pytest.raises(ArithmeticError):
-        random_unipotent(tag, make_rng(), factors=1)
+        apply_j0_linear(tag, g, j0_basis(tag)[0])
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)

@@ -169,6 +169,57 @@ def test_no_unused_imports_in_the_package():
     assert not unused, unused
 
 
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) for each parameter
+    with a default of each function or method.  A method is called by its
+    name and __init__ by its class name, with self not counted in the index;
+    a keyword-only parameter has no index."""
+    owner = {sub: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for sub in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls, a = owner.get(node), node.args
+        pos = a.posonlyargs + a.args
+        if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                       for d in node.decorator_list):
+            pos = pos[1:]
+        name = cls.name if cls is not None and node.name == "__init__" else node.name
+        for index in range(len(pos) - len(a.defaults), len(pos)):
+            yield name, pos[index].arg, index
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def test_every_optional_parameter_is_passed():
+    """Each parameter with a default, of a package function or method, is
+    passed by some call in the package or perfbench/: positionally, by
+    keyword, or through * or **.  Tests do not count: a default that only
+    tests override is a branch no program runs."""
+    paths = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, param, index):
+        # a * argument of unknown length counts for the one position it starts at
+        return any(kw.arg in (param, None) for kw in call.keywords) or \
+            index is not None and len(call.args) > index
+
+    params = [(path.name, *param) for path, tree in trees.items() if path.parent == SRC
+              for param in _defaulted_parameters(tree)]
+    unpassed = ["%s:%s(%s)" % (module, name, param) for module, name, param, index in params
+                if not any(passes(call, param, index) for call in calls.get(name, ()))]
+    assert len(params) > 10
+    assert not unpassed, unpassed
+
+
 def perfbench_module(name, monkeypatch):
     """The module perfbench/<name>.py, loaded from its file.
 
@@ -259,8 +310,8 @@ def test_the_elimination_kernel_is_integer_only():
 
 
 def test_the_exponential_series_is_integer_only():
-    """liealg's exponential series, and random_unipotent which drives it, work
-    on integer numerators: they build no Q(i) scalar or Fraction."""
+    """liealg's exponential series, and random_unipotent which draws its
+    factors, work on integers: they build no Q(i) scalar or Fraction."""
     tree = ast.parse((SRC / "liealg.py").read_text())
     units = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     names = ("GaussRational", "Fraction", "to_numerators", "from_numerators")
